@@ -29,7 +29,7 @@ import (
 )
 
 // BenchmarkFig3DSETrajectories regenerates Fig. 3: S2FA vs vanilla
-// OpenTuner DSE trajectories for all eight kernels.
+// OpenTuner DSE trajectories for every workload kernel.
 func BenchmarkFig3DSETrajectories(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := exp.NewSuite(1)
@@ -37,8 +37,8 @@ func BenchmarkFig3DSETrajectories(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Series) != 8 {
-			b.Fatalf("got %d series", len(r.Series))
+		if len(r.Series) != len(apps.All()) {
+			b.Fatalf("got %d series, want %d", len(r.Series), len(apps.All()))
 		}
 	}
 }
@@ -57,14 +57,14 @@ func BenchmarkFig3DSETrajectoriesPar8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Series) != 8 {
-			b.Fatalf("got %d series", len(r.Series))
+		if len(r.Series) != len(apps.All()) {
+			b.Fatalf("got %d series, want %d", len(r.Series), len(apps.All()))
 		}
 	}
 }
 
 // BenchmarkFig4Speedups regenerates Fig. 4: manual and S2FA design
-// speedups over the JVM for all eight kernels.
+// speedups over the JVM for every workload kernel.
 func BenchmarkFig4Speedups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := exp.NewSuite(1)
@@ -87,8 +87,8 @@ func BenchmarkTable1DesignSpaces(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 8 {
-			b.Fatalf("got %d rows", len(rows))
+		if len(rows) != len(apps.All()) {
+			b.Fatalf("got %d rows, want %d", len(rows), len(apps.All()))
 		}
 	}
 }
@@ -102,8 +102,8 @@ func BenchmarkTable2ResourceUtilization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 8 {
-			b.Fatalf("got %d rows", len(rows))
+		if len(rows) != len(apps.All()) {
+			b.Fatalf("got %d rows, want %d", len(rows), len(apps.All()))
 		}
 	}
 }
@@ -122,9 +122,9 @@ func BenchmarkStoppingCriteriaAblation(b *testing.B) {
 // --- Pipeline micro-benchmarks ---
 
 // BenchmarkFrontend measures kdsl parsing + type checking + bytecode
-// generation across all eight kernels.
+// generation across every workload kernel.
 func BenchmarkFrontend(b *testing.B) {
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}
@@ -139,7 +139,7 @@ func BenchmarkFrontend(b *testing.B) {
 }
 
 // BenchmarkBytecodeToC measures the decompiler (CFG, lifting,
-// structuring, flattening) across all eight kernels.
+// structuring, flattening) across every workload kernel.
 func BenchmarkBytecodeToC(b *testing.B) {
 	var cls []*apps.App
 	for _, a := range apps.All() {
@@ -163,7 +163,7 @@ func BenchmarkBytecodeToC(b *testing.B) {
 // buffers (compile.Scratch): the allocation delta between the two is
 // the frontend's per-kernel transient garbage.
 func BenchmarkFrontendScratch(b *testing.B) {
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}
@@ -203,7 +203,7 @@ func BenchmarkBytecodeToCScratch(b *testing.B) {
 // BenchmarkCompileCold measures the full source-to-kernel pipeline
 // (frontend + verify + absint + b2c) per kernel set, no caching.
 func BenchmarkCompileCold(b *testing.B) {
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}
@@ -227,7 +227,7 @@ func BenchmarkCompileCold(b *testing.B) {
 // source-memo hit: one SHA-256 of the source plus one integrity check of
 // the cached kernel).
 func BenchmarkCompileCached(b *testing.B) {
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}

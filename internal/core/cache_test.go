@@ -15,10 +15,11 @@ import (
 // outcomeKey serializes the DSE outcome fields of the determinism
 // contract so "byte-identical trajectory" is checked literally.
 func outcomeKey(o *dse.Outcome) string {
-	s := fmt.Sprintf("evals=%d stop=%s total=%b best=%s/%b prune=%d dep=%d acc=%d collapse=%d\n",
+	s := fmt.Sprintf("evals=%d stop=%s total=%b best=%s/%b prune=%d/%d dep=%d acc=%d collapse=%d/%d\n",
 		o.Evaluations, o.StopReason, math.Float64bits(o.TotalMinutes),
 		o.Best.Point.Key(), math.Float64bits(o.Best.Objective),
-		o.StaticallyPruned, o.DependPruned, o.AccessPruned, o.RangeCollapsed)
+		o.StaticallyPruned, o.PrunedDomainValues, o.DependPruned, o.AccessPruned,
+		o.RangeCollapsed, o.RangeRestrictedValues)
 	for _, p := range o.Trajectory {
 		s += fmt.Sprintf("  %b %b\n", math.Float64bits(p.Minutes), math.Float64bits(p.Objective))
 	}

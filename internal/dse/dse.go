@@ -56,8 +56,8 @@ type Outcome struct {
 	TotalMinutes         float64
 	Evaluations          int
 	Partitions           []Partition
-	// StaticallyPruned counts proposed points the lint legality pass
-	// rejected before evaluation (Config.StaticPrune); each cost
+	// StaticallyPruned counts proposed points the guard's lint legality
+	// rule rejected before evaluation (Config.Prune); each cost
 	// microseconds instead of virtual synthesis minutes.
 	StaticallyPruned int
 	// PrunedDomainValues counts parameter-domain values space.PruneStatic
@@ -65,21 +65,21 @@ type Outcome struct {
 	// variable-trip sub-loop).
 	PrunedDomainValues int
 	// DependPruned counts evaluations served from a dependence-equivalent
-	// design's HLS report instead of a fresh estimation
-	// (Config.DependPrune): parallel lanes on an unpipelined loop that
-	// provably serializes are a hardware no-op, so the point shares its
+	// design's HLS report instead of a fresh estimation (the guard's
+	// depend rule): parallel lanes on an unpipelined loop that provably
+	// serializes are a hardware no-op, so the point shares its
 	// parallel=1 sibling's report.
 	DependPruned int
 	// AccessPruned counts evaluations served from an access-equivalent
-	// design's HLS report instead of a fresh estimation
-	// (Config.AccessPrune): parallel factors above a loop's BRAM
-	// port-cap replicate datapaths the banks cannot feed, so the point
-	// shares its cap-clamped sibling's report.
+	// design's HLS report instead of a fresh estimation (the guard's
+	// access rule): parallel factors above a loop's BRAM port-cap
+	// replicate datapaths the banks cannot feed, so the point shares its
+	// cap-clamped sibling's report.
 	AccessPruned int
 	// RangeCollapsed counts evaluations served from a width-equivalent
-	// design's HLS report instead of a fresh estimation
-	// (Config.RestrictRanges); the value-range facts prove the model
-	// cannot tell the points apart.
+	// design's HLS report instead of a fresh estimation (the guard's
+	// range rule); the value-range facts and the estimator's width model
+	// prove the points indistinguishable.
 	RangeCollapsed int
 	// RangeRestrictedValues counts bit-width domain values
 	// space.RestrictFromRanges proved dominated by a narrower width.
@@ -151,46 +151,24 @@ type Config struct {
 	Seed int64
 	// MaxEvaluations is a safety valve for tiny spaces.
 	MaxEvaluations int
-	// StaticPrune runs the lint legality pass before every evaluation and
-	// shrinks statically-illegal parameter domains up front, so provably
-	// rejected points never reach the HLS estimator (AutoDSE-style static
-	// pruning; outcome counters record both effects).
-	StaticPrune bool
-	// DependPrune guards the evaluator with the exact loop-dependence
-	// verdicts: parallel factors that contradict a proven serialization
-	// (unpipelined lanes contending on carried arrays) are hardware
-	// no-ops — the HLS model binds the serial lanes to one datapath
-	// instance — so such points collapse onto their parallel=1 sibling's
-	// report instead of reaching Merlin + estimation. Like StaticPrune
-	// and RestrictRanges, the search trajectory and best design are
-	// preserved exactly.
-	DependPrune bool
-	// AccessPrune guards the evaluator with the static access-pattern
-	// analysis: parallel factors above a loop's BRAM port-cap
-	// (internal/access PortCap — more direct array accesses per
-	// iteration than the banks have ports for) are never instantiated
-	// by the binder, so such points collapse onto their cap-clamped
-	// sibling's report instead of reaching Merlin + estimation. Like
-	// the other guards, the search trajectory and best design are
-	// preserved exactly.
-	AccessPrune bool
-	// RestrictRanges uses the abstract interpreter's proven value ranges
-	// to collapse interface bit-widths the HLS model cannot distinguish:
-	// equivalent points share one estimation, and the dominated domain
-	// values space.RestrictFromRanges would drop are counted. Like
-	// StaticPrune, the search trajectory and best design are preserved
-	// exactly.
-	RestrictRanges bool
-	// Device supplies the DDR interface model for RestrictRanges; nil
-	// defaults to the paper's VU9P.
+	// Prune puts the evaluator behind the prune guard (guard.go): lint
+	// illegal points are rejected for microseconds instead of synthesis
+	// minutes, and points the HLS model provably cannot tell apart
+	// (serialized lanes, port-starved lanes, equivalent interface
+	// widths) share one estimation. The collapses leave the search
+	// trajectory and best design exactly as without them; the outcome
+	// counters record every rule's effect.
+	Prune bool
+	// Device supplies the DDR interface model for the guard's width
+	// rule; nil defaults to the paper's VU9P.
 	Device *fpga.Device
 	// Depend and Access optionally supply precomputed analyses of the
 	// explored kernel (e.g. from the compile cache) consumed by the
-	// DependPrune/AccessPrune guard assembly instead of re-running
-	// depend.Analyze/access.Analyze. Both analyses are deterministic
-	// pure functions of the kernel, so supplying them never changes the
-	// search trajectory — only setup cost. They must describe the same
-	// kernel Run receives; nil fields are computed on demand.
+	// guard's rules instead of re-running depend.Analyze/access.Analyze.
+	// Both analyses are deterministic pure functions of the kernel, so
+	// supplying them never changes the search trajectory — only setup
+	// cost. They must describe the same kernel Run receives; nil fields
+	// are computed on demand.
 	Depend *depend.Analysis
 	Access *access.Analysis
 	// Trace, when set, receives the search telemetry: per-partition
@@ -230,10 +208,7 @@ func S2FAConfig(seed int64) Config {
 		BatchPerIter:     1,
 		Seed:             seed,
 		MaxEvaluations:   200_000,
-		StaticPrune:      true,
-		DependPrune:      true,
-		AccessPrune:      true,
-		RestrictRanges:   true,
+		Prune:            true,
 	}
 }
 
@@ -266,7 +241,7 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	}
 
 	out := newOutcome(k)
-	eval = wrapEvaluator(k, sp, eval, cfg, out)
+	eval = guardEvaluator(k, sp, eval, cfg, out)
 	var parts []Partition
 	if cfg.Partition != nil {
 		parts = BuildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed)
@@ -293,61 +268,6 @@ func finishOutcome(out *Outcome, sched *scheduler) *Outcome {
 		out.Best = tuner.Result{Objective: math.Inf(1)}
 	}
 	return out
-}
-
-// wrapEvaluator layers the optional static-prune and range-collapse
-// guards over the base evaluator, mutating sp's bookkeeping counters on
-// out exactly as the sequential engine always has. Both engines share
-// this assembly so the evaluator chain — and therefore every cache-hit
-// and prune decision — is identical between them.
-func wrapEvaluator(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
-	if cfg.RestrictRanges {
-		// Collapse width-equivalent points onto shared HLS reports and
-		// count the dominated domain values. As with StaticPrune below,
-		// the space itself is left intact so the partition structure and
-		// search trajectory are byte-identical to a run without the
-		// optimization — only the estimator invocation count drops.
-		dev := cfg.Device
-		if dev == nil {
-			dev = fpga.VU9P()
-		}
-		_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, dev)
-		eval = rangeCollapseEvaluator(k, sp, dev, eval, &out.RangeCollapsed, cfg.Trace)
-	}
-	if cfg.AccessPrune {
-		// Collapse parallel factors above a loop's BRAM port-cap onto the
-		// cap-clamped sibling's report. Layered inside DependPrune so the
-		// dependence collapse intercepts its (disjoint, parallel=1) class
-		// first, keeping both counters' meanings stable.
-		acc := cfg.Access
-		if acc == nil {
-			acc = access.Analyze(k)
-		}
-		eval = accessPruneEvaluator(acc, sp, eval, &out.AccessPruned, cfg.Trace)
-	}
-	if cfg.DependPrune {
-		// Collapse points whose parallel factors contradict a proven loop
-		// serialization onto their parallel=1 siblings before they reach
-		// Merlin + the estimator. Layered inside StaticPrune: a point must
-		// first be legal before its dependence profile is worth consulting.
-		dep := cfg.Depend
-		if dep == nil {
-			dep = depend.Analyze(k)
-		}
-		eval = dependPruneEvaluator(dep, sp, eval, &out.DependPruned, cfg.Trace)
-	}
-	if cfg.StaticPrune {
-		// Guard the evaluator with the lint legality pass: statically
-		// illegal proposals cost microseconds instead of synthesis
-		// minutes. The space itself is left intact — shrinking domains
-		// here would change the partition structure and thus the whole
-		// search trajectory; the guard preserves it exactly. (Callers who
-		// want the smaller space can apply space.PruneStatic themselves
-		// before Run; PrunedDomainValues reports what it would remove.)
-		_, out.PrunedDomainValues = space.PruneStatic(sp, k)
-		eval = staticPruneEvaluator(k, sp, eval, &out.StaticallyPruned, cfg.Trace)
-	}
-	return eval
 }
 
 // worker is one simulated CPU core working through partitions.

@@ -1,0 +1,328 @@
+package dse
+
+import (
+	"sync"
+
+	"s2fa/internal/access"
+	"s2fa/internal/cir"
+	"s2fa/internal/depend"
+	"s2fa/internal/fpga"
+	"s2fa/internal/hls"
+	"s2fa/internal/lint"
+	"s2fa/internal/obs"
+	"s2fa/internal/space"
+	"s2fa/internal/tuner"
+)
+
+// The prune guard (Config.Prune) spends synthesis only on design points
+// that can differ. It sits in front of the base evaluator and applies an
+// ordered rule table, AutoDSE-style:
+//
+//   - reject rules refuse a point outright, for pruneMinutes instead of
+//     a Merlin + HLS run;
+//   - collapse rules map a point to the canonical representative of a
+//     class of points the HLS model provably cannot tell apart. The
+//     first evaluated member of a class synthesizes; every later member
+//     is served that report, bit-identical to what the inner evaluator
+//     would have produced, so the search trajectory is unchanged and
+//     only real estimator invocations drop.
+//
+// Reject rules run first, on every call. Each collapse rule keys its
+// classes on the raw point; the first rule whose class already holds a
+// result serves it with Point set to the evaluated point. A first-seen
+// point charges the result's synthesis minutes and counts towards the
+// serving rule; an exact repeat is a memoized report and costs nothing.
+// A served result is recorded in the classes of the rules before the
+// serving one, a fresh result in every rule's class.
+
+// pruneMinutes is the virtual cost of a static rejection: a compiler
+// check, microseconds of real work, against minutes for an HLS run. Kept
+// slightly above zero so pruned proposals still advance the virtual
+// clock (a worker cannot loop infinitely for free).
+const pruneMinutes = 0.001
+
+// rule is one row of the guard's table. Exactly one of reject and canon
+// is set.
+type rule struct {
+	name    string
+	event   string // trace event fired when the rule acts on a point
+	counter string // trace counter bumped alongside the event
+	tally   func(*Outcome) *int
+	// reject reports whether the point is refused.
+	reject func(space.Point) bool
+	// canon returns the point's class representative, or nil when the
+	// point is its own.
+	canon func(space.Point) space.Point
+}
+
+// guardEvaluator puts eval behind the prune guard when cfg.Prune is set,
+// and records on out how many domain values the static and range
+// analyses would drop (the space itself is left intact: shrinking it
+// would change the partitions and so the whole search). Both engines
+// assemble their evaluator chain here, so every prune decision is
+// identical between them.
+func guardEvaluator(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
+	if !cfg.Prune {
+		return eval
+	}
+	_, out.PrunedDomainValues = space.PruneStatic(sp, k)
+	_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
+	return newGuard(pruneRules(k, sp, cfg), eval, out, cfg.Trace)
+}
+
+// pruneRules is the production rule table: the lint legality check, then
+// the dependence, port-cap, and width collapses.
+func pruneRules(k *cir.Kernel, sp *space.Space, cfg Config) []rule {
+	dep := cfg.Depend
+	if dep == nil {
+		dep = depend.Analyze(k)
+	}
+	acc := cfg.Access
+	if acc == nil {
+		acc = access.Analyze(k)
+	}
+	return []rule{
+		staticRule(k, sp),
+		dependRule(dep),
+		accessRule(acc),
+		widthRule(k, sp, cfg.device()),
+	}
+}
+
+func (c Config) device() *fpga.Device {
+	if c.Device != nil {
+		return c.Device
+	}
+	return fpga.VU9P()
+}
+
+// newGuard returns inner behind the rule table, counting each rule's
+// actions into out and tracing them to tr (nil: untraced). It is safe
+// for concurrent callers.
+func newGuard(rules []rule, inner tuner.Evaluator, out *Outcome, tr *obs.Trace) tuner.Evaluator {
+	var rejects, collapses []rule
+	for _, r := range rules {
+		if r.reject != nil {
+			rejects = append(rejects, r)
+		} else {
+			collapses = append(collapses, r)
+		}
+	}
+	// mu covers classes, seen, and the counters on out; the rules
+	// themselves are read-only after construction.
+	var mu sync.Mutex
+	classes := make([]map[string]tuner.Result, len(collapses))
+	for i := range classes {
+		classes[i] = map[string]tuner.Result{}
+	}
+	seen := map[string]bool{}
+	return func(pt space.Point) tuner.Result {
+		key := pt.Key()
+		for _, r := range rejects {
+			if !r.reject(pt) {
+				continue
+			}
+			mu.Lock()
+			*r.tally(out)++
+			mu.Unlock()
+			if tr != nil {
+				tr.Event("dse", r.event, obs.Str("point", key))
+				tr.Count(r.counter, 1)
+			}
+			return tuner.Result{Point: pt, Objective: rejectPenalty, Minutes: pruneMinutes}
+		}
+		classKeys := make([]string, len(collapses))
+		mu.Lock()
+		for i, r := range collapses {
+			classKeys[i] = key
+			if c := r.canon(pt); c != nil {
+				classKeys[i] = c.Key()
+			}
+			res, ok := classes[i][classKeys[i]]
+			if !ok {
+				continue
+			}
+			res.Point = pt
+			if seen[key] {
+				res.Minutes = 0
+			} else {
+				seen[key] = true
+				*r.tally(out)++
+				if tr != nil {
+					tr.Event("dse", r.event, obs.Str("point", key), obs.Str("canonical", classKeys[i]))
+					tr.Count(r.counter, 1)
+				}
+			}
+			for j := 0; j < i; j++ {
+				classes[j][classKeys[j]] = res
+			}
+			mu.Unlock()
+			return res
+		}
+		seen[key] = true
+		mu.Unlock()
+		res := inner(pt)
+		mu.Lock()
+		for i := range collapses {
+			classes[i][classKeys[i]] = res
+		}
+		mu.Unlock()
+		return res
+	}
+}
+
+// staticRule rejects points whose directives carry a lint error (pass
+// 4). By the lint severity contract those are exactly the points the
+// inner evaluator would reject anyway (Merlin annotate error or flatten
+// infeasibility), so pruning never changes which designs are reachable,
+// only how much virtual time illegal proposals burn.
+func staticRule(k *cir.Kernel, sp *space.Space) rule {
+	chk := lint.NewChecker(k)
+	return rule{
+		name: "static", event: "prune", counter: "dse.pruned",
+		tally: func(o *Outcome) *int { return &o.StaticallyPruned },
+		reject: func(pt space.Point) bool {
+			d := sp.Directives(pt)
+			return chk.Directives(d.Loops, d.BitWidths).HasErrors()
+		},
+	}
+}
+
+// loopKeys names a loop's parallel and pipeline factors in a point.
+type loopKeys struct{ parallel, pipeline string }
+
+func keysOf(id string) loopKeys {
+	return loopKeys{parallel: id + ".parallel", pipeline: id + ".pipeline"}
+}
+
+// dependRule collapses parallel lanes on an unpipelined loop whose
+// iterations provably contend on carried arrays onto parallel=1: the
+// scheduler serializes the chain and the binder maps it onto one
+// datapath instance (hls model.inertLanes). Pipelined loops never
+// collapse: carried lanes there execute as a wavefront
+// (Smith-Waterman's profitable design).
+func dependRule(dep *depend.Analysis) rule {
+	var serializing []loopKeys
+	for _, id := range dep.Order {
+		if dep.Serializing(id) {
+			serializing = append(serializing, keysOf(id))
+		}
+	}
+	return rule{
+		name: "depend", event: "depend-collapse", counter: "dse.depend_pruned",
+		tally: func(o *Outcome) *int { return &o.DependPruned },
+		canon: func(pt space.Point) space.Point {
+			var c space.Point
+			for _, l := range serializing {
+				if pt[l.pipeline] == space.PipeOffVal && pt[l.parallel] > 1 {
+					if c == nil {
+						c = pt.Clone()
+					}
+					c[l.parallel] = 1
+				}
+			}
+			return c
+		},
+	}
+}
+
+// accessRule clamps parallel factors above a loop's BRAM port cap
+// (internal/access PortCap: a direct accesses per iteration to a banked
+// array feed at most floor(128/a) lanes) to the cap: the binder never
+// instantiates lanes the ports cannot feed (hls model.laneCap). The cap
+// is a property of the raw loop structure, so the rule holds for every
+// pipeline mode.
+func accessRule(acc *access.Analysis) rule {
+	type capped struct {
+		parallel string
+		cap      int
+	}
+	var caps []capped
+	for _, id := range acc.LoopOrder {
+		if c := acc.PortCap(id); c > 0 {
+			caps = append(caps, capped{parallel: keysOf(id).parallel, cap: c})
+		}
+	}
+	return rule{
+		name: "access", event: "access-collapse", counter: "dse.access_pruned",
+		tally: func(o *Outcome) *int { return &o.AccessPruned },
+		canon: func(pt space.Point) space.Point {
+			var c space.Point
+			for _, l := range caps {
+				if pt[l.parallel] > l.cap {
+					if c == nil {
+						c = pt.Clone()
+					}
+					c[l.parallel] = l.cap
+				}
+			}
+			return c
+		},
+	}
+}
+
+// widthRule lowers each proven-range buffer's interface width to the
+// narrowest domain value the estimator's width model
+// (hls.WidthModel.Equivalent) cannot tell from it, one buffer at a time
+// so every step is checked against the widths already chosen. It is
+// gated on buffers whose value range the abstract interpreter proved
+// (cir.Param.ValKnown), and on an untiled task loop.
+func widthRule(k *cir.Kernel, sp *space.Space, dev *fpga.Device) rule {
+	type factor struct {
+		p      *space.Param
+		param  int // index into k.Params
+		proven bool
+	}
+	var factors []factor
+	for i := range sp.Params {
+		if sp.Params[i].Kind != space.FactorBitWidth {
+			continue
+		}
+		for j, p := range k.Params {
+			if p.Name == sp.Params[i].Buffer {
+				factors = append(factors, factor{p: &sp.Params[i], param: j, proven: p.ValKnown})
+			}
+		}
+	}
+	wm := hls.NewWidthModel(k, dev)
+	task := keysOf(k.TaskLoopID)
+	tile := k.TaskLoopID + ".tile"
+	return rule{
+		name: "range", event: "collapse", counter: "dse.collapsed",
+		tally: func(o *Outcome) *int { return &o.RangeCollapsed },
+		canon: func(pt space.Point) space.Point {
+			if len(factors) == 0 || pt[tile] > 1 {
+				return nil
+			}
+			widths := wm.Widths()
+			for _, f := range factors {
+				if w, ok := pt[f.p.Name]; ok {
+					widths[f.param] = w
+				}
+			}
+			pipe := space.PipelineMode(pt[task.pipeline])
+			var c space.Point
+			for _, f := range factors {
+				w, ok := pt[f.p.Name]
+				if !f.proven || !ok {
+					continue
+				}
+				for ord := 0; ord < f.p.Size(); ord++ {
+					cand := f.p.ValueAt(ord)
+					if cand >= w {
+						break
+					}
+					if wm.Equivalent(widths, pipe, f.param, cand, w) {
+						widths[f.param] = cand
+						if c == nil {
+							c = pt.Clone()
+						}
+						c[f.p.Name] = cand
+						break
+					}
+				}
+			}
+			return c
+		},
+	}
+}

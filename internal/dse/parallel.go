@@ -69,7 +69,7 @@ func runParallel(k *cir.Kernel, sp *space.Space, pure tuner.Evaluator, cfg Confi
 	out := newOutcome(k)
 	pool := newEvalPool(cfg.poolSize(), k.Name, pure)
 	defer pool.close(cfg.Trace)
-	eval := wrapEvaluator(k, sp, pool.replayEvaluator(cfg.Trace), cfg, out)
+	eval := guardEvaluator(k, sp, pool.replayEvaluator(cfg.Trace), cfg, out)
 	var parts []Partition
 	if cfg.Partition != nil {
 		parts = buildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed, pool.prefetch)
@@ -139,9 +139,8 @@ func (ps *parScheduler) run() {
 
 // step mirrors scheduler.step exactly, except that the seed or batch to
 // evaluate was proposed ahead of time by prepare. Evaluations go through
-// the same wrapped chain (prune -> collapse -> replay memo), so every
-// Minutes charge, cache hit, and counter lands as in the sequential
-// engine.
+// the same chain (prune guard -> replay memo), so every Minutes charge,
+// cache hit, and counter lands as in the sequential engine.
 func (ps *parScheduler) step(w *worker) {
 	s := ps.s
 	if w.clock >= s.cfg.TimeLimitMinutes {

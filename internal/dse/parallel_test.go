@@ -62,9 +62,13 @@ func assertOutcomesIdentical(t *testing.T, seq, par *Outcome) {
 		t.Fatalf("first feasible: seq (%v, %v) par (%v, %v)",
 			seq.FirstFeasible, seq.FirstFeasibleMinutes, par.FirstFeasible, par.FirstFeasibleMinutes)
 	}
-	if seq.StaticallyPruned != par.StaticallyPruned || seq.RangeCollapsed != par.RangeCollapsed {
-		t.Fatalf("counters: seq prune=%d collapse=%d par prune=%d collapse=%d",
-			seq.StaticallyPruned, seq.RangeCollapsed, par.StaticallyPruned, par.RangeCollapsed)
+	counters := func(o *Outcome) [6]int {
+		return [6]int{o.StaticallyPruned, o.DependPruned, o.AccessPruned, o.RangeCollapsed,
+			o.PrunedDomainValues, o.RangeRestrictedValues}
+	}
+	if counters(seq) != counters(par) {
+		t.Fatalf("counters (static, depend, access, range, pruned domain values, restricted widths): seq %v par %v",
+			counters(seq), counters(par))
 	}
 	if seq.Summary() != par.Summary() {
 		t.Fatalf("summaries differ:\nseq: %s\npar: %s", seq.Summary(), par.Summary())

@@ -95,7 +95,8 @@ func (r Report) String() string {
 // kernel over a batch of n tasks on the given device.
 func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
 	info := cir.Analyze(k)
-	m := &model{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k), dev: dev, n: n, opt: opt}
+	m := &model{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k), dev: dev, n: n, opt: opt,
+		widths: portWidths(k)}
 	return m.run()
 }
 
@@ -107,6 +108,9 @@ type model struct {
 	dev    *fpga.Device
 	n      int64
 	opt    Options
+	// widths holds each parameter's interface width (see portWidths);
+	// the width model reads widths only through it.
+	widths []int
 
 	infeasible     string
 	maxRep         int
@@ -116,9 +120,6 @@ type model struct {
 	// "port-contention"); the outermost loop is scheduled last, so its
 	// binding floor wins.
 	iiTag string
-	// portLimited records whether the task-loop memory II came from a
-	// single interface port rather than the aggregate DDR channel.
-	portLimited bool
 }
 
 // raise lifts *ii to v when v is the new binding floor and records which
@@ -445,7 +446,7 @@ func (m *model) seqStage(li *cir.LoopInfo, trip, u float64) stage {
 	if li.Loop.ID == m.kernel.TaskLoopID {
 		// Unpipelined task loop pays a blocking burst per iteration at
 		// the configured interface width (capped by the DDR channel).
-		perCycle := m.interfaceBytesPerCycle()
+		perCycle := m.interfaceBytesPerCycle(m.widths)
 		lat += float64(m.bytesPerTaskOf()) / perCycle * effTrip * u
 	}
 	return stage{lat: lat, occ: lat, ii: iter}
@@ -518,18 +519,14 @@ func (m *model) flattenOps(li *cir.LoopInfo) (cir.OpCount, float64, bool) {
 }
 
 // interfaceBytesPerCycle returns the aggregate AXI interface throughput
-// implied by the buffer bit-width directives, capped by the DDR channel.
-func (m *model) interfaceBytesPerCycle() float64 {
+// implied by the interface widths, capped by the DDR channel.
+func (m *model) interfaceBytesPerCycle(widths []int) float64 {
 	total := 0.0
-	for _, p := range m.kernel.Params {
+	for i, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		total += float64(bw) / 8
+		total += float64(widths[i]) / 8
 	}
 	if cap := float64(m.dev.DDRBytesPerCycle); total > cap || total == 0 {
 		total = cap
@@ -545,11 +542,8 @@ func (m *model) raiseMem(ii *float64, li *cir.LoopInfo, u float64) {
 	if li.Loop.ID != m.kernel.TaskLoopID {
 		return
 	}
-	perPort, aggregate := m.memCycles(u)
+	perPort, aggregate, _ := m.memCycles(m.widths, u)
 	if perPort > aggregate {
-		if perPort > *ii {
-			m.portLimited = true
-		}
 		m.raise(ii, perPort, "port-contention")
 		return
 	}
@@ -598,13 +592,14 @@ func (m *model) gatherFloor() float64 {
 }
 
 // memCycles returns the per-task-iteration transfer cycles bound by the
-// slowest single interface port and by the aggregate DDR channel.
-// Burst-stageable buffers move their footprint span at port/channel
-// bandwidth; gather-only buffers pay per-element latency, multiplied by
-// the lanes issuing them.
-func (m *model) memCycles(u float64) (perPort, aggregate float64) {
+// slowest single interface port and by the aggregate DDR channel, plus
+// the index of that slowest port (-1 if none). Burst-stageable buffers
+// move their footprint span at port/channel bandwidth; gather-only
+// buffers pay per-element latency, multiplied by the lanes issuing them.
+func (m *model) memCycles(widths []int, u float64) (perPort, aggregate float64, bind int) {
 	var totalBytes, gatherCyc float64
-	for _, p := range m.kernel.Params {
+	bind = -1
+	for i, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
@@ -615,24 +610,20 @@ func (m *model) memCycles(u float64) (perPort, aggregate float64) {
 			c := float64(pr.Accesses) * gatherBeatCycles * u
 			gatherCyc += c
 			if c > perPort {
-				perPort = c
+				perPort, bind = c, i
 			}
 			continue
 		}
 		eb := float64(p.Elem.Bits()) / 8
 		bytes := m.stagedElems(&p) * eb * u
 		totalBytes += bytes
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		perCycle := float64(bw) / 8
+		perCycle := float64(widths[i]) / 8
 		if c := bytes / perCycle; c > perPort {
-			perPort = c
+			perPort, bind = c, i
 		}
 	}
 	aggregate = totalBytes/float64(m.dev.DDRBytesPerCycle) + gatherCyc
-	return perPort, aggregate
+	return perPort, aggregate, bind
 }
 
 // bottleneckSite names the interface buffer that binds a memory verdict
@@ -642,7 +633,7 @@ func (m *model) bottleneckSite(tag string) string {
 	var best string
 	var bestCost float64
 	var bestPr *access.ParamProfile
-	for _, p := range m.kernel.Params {
+	for i, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
@@ -656,11 +647,7 @@ func (m *model) bottleneckSite(tag string) string {
 		} else {
 			bytes := m.stagedElems(&p) * float64(p.Elem.Bits()) / 8
 			if tag == "port-contention" {
-				bw := p.BitWidth
-				if bw == 0 {
-					bw = p.Elem.Bits()
-				}
-				cost = bytes / (float64(bw) / 8)
+				cost = bytes / (float64(m.widths[i]) / 8)
 			} else {
 				cost = bytes / float64(m.dev.DDRBytesPerCycle)
 			}
@@ -818,15 +805,11 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 			burstTasks = 256
 		}
 	}
-	for _, p := range m.kernel.Params {
+	for i, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		lanes := maxInt(1, bw/72)
+		lanes := ifaceLanes(m.widths[i])
 		burstBytes := p.Length * p.Elem.Bits() / 8 * burstTasks
 		blocks := (burstBytes + bram18kBytes - 1) / bram18kBytes
 		if blocks < 1 {

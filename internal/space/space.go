@@ -264,6 +264,18 @@ func (s *Space) Validate(pt Point) error {
 	return nil
 }
 
+// PipelineMode decodes a pipeline factor value.
+func PipelineMode(v int) cir.PipelineMode {
+	switch v {
+	case PipeOnVal:
+		return cir.PipeOn
+	case PipeFlattenVal:
+		return cir.PipeFlatten
+	default:
+		return cir.PipeOff
+	}
+}
+
 // Directives converts a design point into Merlin transformation
 // directives.
 func (s *Space) Directives(pt Point) merlin.Directives {
@@ -287,14 +299,7 @@ func (s *Space) Directives(pt Point) merlin.Directives {
 			d.Loops[p.LoopID] = opt
 		case FactorPipeline:
 			opt := d.Loops[p.LoopID]
-			switch v {
-			case PipeOnVal:
-				opt.Pipeline = cir.PipeOn
-			case PipeFlattenVal:
-				opt.Pipeline = cir.PipeFlatten
-			default:
-				opt.Pipeline = cir.PipeOff
-			}
+			opt.Pipeline = PipelineMode(v)
 			d.Loops[p.LoopID] = opt
 		}
 	}
