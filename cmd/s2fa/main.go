@@ -12,7 +12,7 @@
 //	s2fa -app S-W -lint                 # static verifier findings only
 //	s2fa -src kernel.scala -explain     # abstract-interpretation fact report
 //	s2fa -app S-W -trace run.json -trace-format chrome   # Perfetto trace
-//	s2fa -app KMeans -summary           # post-run observability report
+//	s2fa -app KMeans -summary           # post-run report, as s2fa-report renders it
 package main
 
 import (
@@ -36,6 +36,7 @@ import (
 	"s2fa/internal/kdsl"
 	"s2fa/internal/lint"
 	"s2fa/internal/obs"
+	"s2fa/internal/report"
 )
 
 func main() {
@@ -54,7 +55,7 @@ func main() {
 		dumpBest    = flag.Bool("dump-best", false, "print the chosen design's annotated HLS C")
 		tracePath   = flag.String("trace", "", "write pipeline + DSE trace events to this file")
 		traceFormat = flag.String("trace-format", "jsonl", "trace file format: jsonl | chrome (load the latter in chrome://tracing or Perfetto)")
-		summary     = flag.Bool("summary", false, "print a post-run observability report (stage times, slowest HLS estimations, bandit arms, entropy sparkline)")
+		summary     = flag.Bool("summary", false, "print the s2fa-report run explanation (stage waterfall, slowest HLS estimations, prune attribution, bandit arms, entropy sparkline, counters) as plain text after the run")
 
 		metricsPath  = flag.String("metrics", "", "write a metrics-registry snapshot (per-stage latency histograms with p50/p90/p99, counters, gauges) to this file")
 		metricsForm  = flag.String("metrics-format", "json", "metrics snapshot format: json (for s2fa-report) | prom (Prometheus text exposition)")
@@ -91,10 +92,11 @@ func main() {
 		}
 	}
 
-	// Observability: trace file and/or in-process summary collector. A nil
-	// trace is free; a live one never changes the run (see internal/obs).
+	// Observability: a trace file and/or an in-memory sink whose events
+	// -summary renders. A nil trace is free; a live one never changes the
+	// run (see internal/obs).
 	var sinks []obs.Sink
-	var collector *obs.Collector
+	var mem *obs.MemorySink
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
@@ -111,8 +113,8 @@ func main() {
 		}
 	}
 	if *summary {
-		collector = obs.NewCollector()
-		sinks = append(sinks, collector)
+		mem = obs.NewMemory()
+		sinks = append(sinks, mem)
 	}
 	var recorder *obs.Recorder
 	if *recorderPath != "" {
@@ -338,9 +340,13 @@ func main() {
 	if err := tr.Close(); err != nil {
 		fatal(fmt.Errorf("writing trace: %w", err))
 	}
-	if collector != nil {
+	if mem != nil {
+		var snap *obs.MetricsSnapshot
+		if reg != nil {
+			snap = reg.Snapshot()
+		}
 		fmt.Println("--- run summary ---")
-		fmt.Print(collector.Render())
+		fmt.Print(report.Render(mem.Events(), snap, report.Options{}))
 	}
 }
 

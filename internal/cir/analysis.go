@@ -2,7 +2,6 @@ package cir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -54,16 +53,6 @@ func (o OpCount) Total() int {
 	return o.IntAdd + o.IntMul + o.IntDiv + o.FpAdd + o.FpMul + o.FpDiv + o.Transc + o.Select + o.Loads + o.Stores
 }
 
-// ArrayAccess summarizes how one loop body touches one array.
-type ArrayAccess struct {
-	Reads  int
-	Writes int
-	// Carried reports a (conservatively detected) loop-carried dependence
-	// through this array with respect to the owning loop's induction
-	// variable.
-	Carried bool
-}
-
 // LoopInfo is one node of the loop-nest tree.
 type LoopInfo struct {
 	Loop     *Loop
@@ -79,9 +68,6 @@ type LoopInfo struct {
 	// weighted by nothing (static counts).
 	SubtreeOps OpCount
 
-	// Access maps array name to access summary over the whole subtree.
-	Access map[string]*ArrayAccess
-
 	// ScalarRec lists iteration-crossing scalar recurrences (e.g.
 	// accumulators) carried by this loop.
 	ScalarRec []string
@@ -96,18 +82,6 @@ type LoopInfo struct {
 	// variable-trip region that no unroller (pipeline flatten, full
 	// unroll) can eliminate.
 	HasWhile bool
-	// CarriedArrays lists arrays through which this loop carries a
-	// dependence across iterations. Arrays declared inside the loop body
-	// are iteration-local and never appear here.
-	CarriedArrays []string
-	// ArrayCarried reports a loop-carried dependence through any array.
-	ArrayCarried bool
-}
-
-// Carried reports whether the loop carries any dependence (scalar or
-// array) across iterations — the quantity that bounds pipeline II.
-func (li *LoopInfo) Carried() bool {
-	return len(li.ScalarRec) > 0 || li.ArrayCarried
 }
 
 // KernelInfo is the full analysis result for one kernel.
@@ -124,10 +98,11 @@ type KernelInfo struct {
 	MaxDepth    int
 }
 
-// Analyze builds the loop-nest tree and dependence summary for k. This is
-// the reproduction of the kernel AST analysis S2FA performs with the ROSE
-// compiler infrastructure and a polyhedral framework (paper §4.1) to
-// realize loop trip-counts, bit-widths, and dependences.
+// Analyze builds the loop-nest tree for k: trip counts, operation counts
+// and scalar recurrences. It is the structural half of the kernel AST
+// analysis S2FA performs with the ROSE compiler infrastructure (paper
+// §4.1); array dependences come from the polyhedral-style analysis in
+// internal/depend.
 func Analyze(k *Kernel) *KernelInfo {
 	info := &KernelInfo{
 		Kernel:      k,
@@ -195,7 +170,6 @@ func analyzeBlock(b Block, cur *LoopInfo, info *KernelInfo, declared map[string]
 			case *Index:
 				ops.Add(countExpr(lhs.Idx, cur, info))
 				ops.Stores++
-				recordAccess(cur, lhs.Arr, false)
 			}
 		case *If:
 			ops.Add(countExpr(s.Cond, cur, info))
@@ -205,7 +179,6 @@ func analyzeBlock(b Block, cur *LoopInfo, info *KernelInfo, declared map[string]
 			li := &LoopInfo{
 				Loop:   s,
 				Parent: cur,
-				Access: map[string]*ArrayAccess{},
 				Trip:   s.TripCount(),
 			}
 			if cur != nil {
@@ -238,8 +211,7 @@ func analyzeBlock(b Block, cur *LoopInfo, info *KernelInfo, declared map[string]
 	return ops
 }
 
-// finishLoop aggregates subtree quantities and resolves array-carried
-// dependences once all children are known.
+// finishLoop aggregates subtree quantities once all children are known.
 func finishLoop(li *LoopInfo) {
 	li.SubtreeOps = li.BodyOps
 	for _, c := range li.Children {
@@ -251,18 +223,7 @@ func finishLoop(li *LoopInfo) {
 		if c.HasWhile {
 			li.HasWhile = true
 		}
-		for name, a := range c.Access {
-			acc := li.Access[name]
-			if acc == nil {
-				acc = &ArrayAccess{}
-				li.Access[name] = acc
-			}
-			acc.Reads += a.Reads
-			acc.Writes += a.Writes
-		}
 	}
-	li.CarriedArrays = detectCarriedArrays(li)
-	li.ArrayCarried = len(li.CarriedArrays) > 0
 }
 
 func addRecurrence(li *LoopInfo, name string, rhs Expr, info *KernelInfo) {
@@ -275,22 +236,6 @@ func addRecurrence(li *LoopInfo, name string, rhs Expr, info *KernelInfo) {
 	li.RecOps.Add(countExpr(rhs, nil, info))
 }
 
-func recordAccess(li *LoopInfo, arr string, read bool) {
-	for ; li != nil; li = li.Parent {
-		a := li.Access[arr]
-		if a == nil {
-			a = &ArrayAccess{}
-			li.Access[arr] = a
-		}
-		if read {
-			a.Reads++
-		} else {
-			a.Writes++
-		}
-		break // subtree aggregation happens in finishLoop
-	}
-}
-
 func countExpr(e Expr, cur *LoopInfo, info *KernelInfo) OpCount {
 	var ops OpCount
 	switch e := e.(type) {
@@ -298,9 +243,6 @@ func countExpr(e Expr, cur *LoopInfo, info *KernelInfo) OpCount {
 	case *Index:
 		ops.Add(countExpr(e.Idx, cur, info))
 		ops.Loads++
-		if cur != nil {
-			recordAccess(cur, e.Arr, true)
-		}
 	case *Unary:
 		ops.Add(countExpr(e.X, cur, info))
 		if e.X.Kind().IsFloat() && e.Op == Neg {
@@ -398,240 +340,4 @@ func exprMentionsVar(e Expr, name string) bool {
 		}
 	}
 	return false
-}
-
-// detectCarriedArrays applies a conservative affine test: the loop
-// carries a dependence through array A if A has both reads and writes in
-// the subtree and some read/write index pair cannot be proven identical
-// for a fixed iteration (distance zero). Arrays declared inside the loop
-// body are iteration-local and exempt.
-func detectCarriedArrays(li *LoopInfo) []string {
-	local := map[string]bool{}
-	collectLocalArrays(li.Loop.Body, local)
-	var out []string
-	accesses := collectIndexed(li)
-	for arr, idxs := range accesses {
-		if local[arr] {
-			continue
-		}
-		hasRead, hasWrite := false, false
-		for _, a := range idxs {
-			if a.write {
-				hasWrite = true
-			} else {
-				hasRead = true
-			}
-		}
-		if !hasRead || !hasWrite {
-			continue
-		}
-	pairLoop:
-		for _, w := range idxs {
-			if !w.write {
-				continue
-			}
-			for _, r := range idxs {
-				if r.write {
-					continue
-				}
-				if carriedPair(li.Loop.Var, w.idx, r.idx) {
-					out = append(out, arr)
-					break pairLoop
-				}
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// collectLocalArrays gathers arrays declared anywhere inside a block.
-func collectLocalArrays(b Block, out map[string]bool) {
-	for _, s := range b {
-		switch s := s.(type) {
-		case *ArrDecl:
-			out[s.Name] = true
-		case *If:
-			collectLocalArrays(s.Then, out)
-			collectLocalArrays(s.Else, out)
-		case *Loop:
-			collectLocalArrays(s.Body, out)
-		case *While:
-			collectLocalArrays(s.Body, out)
-		}
-	}
-}
-
-type indexedAccess struct {
-	idx   Expr
-	write bool
-}
-
-func collectIndexed(li *LoopInfo) map[string][]indexedAccess {
-	out := map[string][]indexedAccess{}
-	var walkExpr func(e Expr)
-	walkExpr = func(e Expr) {
-		switch e := e.(type) {
-		case *Index:
-			out[e.Arr] = append(out[e.Arr], indexedAccess{idx: e.Idx})
-			walkExpr(e.Idx)
-		case *Unary:
-			walkExpr(e.X)
-		case *Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *Cast:
-			walkExpr(e.X)
-		case *Cond:
-			walkExpr(e.C)
-			walkExpr(e.T)
-			walkExpr(e.F)
-		case *Call:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	var walkBlock func(b Block)
-	walkBlock = func(b Block) {
-		for _, s := range b {
-			switch s := s.(type) {
-			case *Decl:
-				walkExpr(s.Init)
-			case *Assign:
-				if ix, ok := s.LHS.(*Index); ok {
-					out[ix.Arr] = append(out[ix.Arr], indexedAccess{idx: ix.Idx, write: true})
-					walkExpr(ix.Idx)
-				}
-				walkExpr(s.RHS)
-			case *If:
-				walkExpr(s.Cond)
-				walkBlock(s.Then)
-				walkBlock(s.Else)
-			case *Loop:
-				walkExpr(s.Lo)
-				walkExpr(s.Hi)
-				walkBlock(s.Body)
-			case *While:
-				walkExpr(s.Cond)
-				walkBlock(s.Body)
-			case *Return:
-				walkExpr(s.Val)
-			}
-		}
-	}
-	walkBlock(li.Loop.Body)
-	return out
-}
-
-// carriedPair decides whether a write at index wi and read at index ri can
-// conflict across different values of loop variable v. Indices are
-// decomposed as coeff*v + const + sym; the pair is distance-zero (not
-// carried) only when both are linear in v with equal coefficient, equal
-// constant part, and identical symbolic remainder.
-func carriedPair(v string, wi, ri Expr) bool {
-	wc, wcst, wsym, wok := affine(wi, v)
-	rc, rcst, rsym, rok := affine(ri, v)
-	if !wok || !rok {
-		return true // nonlinear: assume carried
-	}
-	if wc == 0 && rc == 0 {
-		// Neither index depends on v: same fixed locations every
-		// iteration -> read/write conflict across iterations.
-		return true
-	}
-	if wc != rc || wsym != rsym {
-		return true
-	}
-	return wcst != rcst // non-zero dependence distance
-}
-
-// Affine decomposes e as coeff*v + cst + sym, where sym is a canonical
-// string for the non-constant remainder; ok=false when e is not linear in
-// v. It is the affine machinery behind the carried-dependence test, also
-// consumed by the static verifier (internal/lint) for interval analysis
-// on array subscripts.
-func Affine(e Expr, v string) (coeff, cst int64, sym string, ok bool) {
-	return affine(e, v)
-}
-
-// affine decomposes e as coeff*v + cst + sym, where sym is a canonical
-// string for the non-constant remainder; ok=false when e is not linear
-// in v.
-func affine(e Expr, v string) (coeff, cst int64, sym string, ok bool) {
-	switch e := e.(type) {
-	case *IntLit:
-		return 0, e.Val, "", true
-	case *VarRef:
-		if e.Name == v {
-			return 1, 0, "", true
-		}
-		return 0, 0, e.Name, true
-	case *Binary:
-		switch e.Op {
-		case Add, Sub:
-			lc, lcst, lsym, lok := affine(e.L, v)
-			rc, rcst, rsym, rok := affine(e.R, v)
-			if !lok || !rok {
-				return 0, 0, "", false
-			}
-			if e.Op == Add {
-				return lc + rc, lcst + rcst, joinSym(lsym, "+", rsym), true
-			}
-			return lc - rc, lcst - rcst, joinSym(lsym, "-", rsym), true
-		case Mul:
-			if lit, isLit := e.R.(*IntLit); isLit {
-				lc, lcst, lsym, lok := affine(e.L, v)
-				if !lok {
-					return 0, 0, "", false
-				}
-				return lc * lit.Val, lcst * lit.Val, scaleSym(lsym, lit.Val), true
-			}
-			if lit, isLit := e.L.(*IntLit); isLit {
-				rc, rcst, rsym, rok := affine(e.R, v)
-				if !rok {
-					return 0, 0, "", false
-				}
-				return rc * lit.Val, rcst * lit.Val, scaleSym(rsym, lit.Val), true
-			}
-			return 0, 0, "", false
-		case Shl:
-			if lit, isLit := e.R.(*IntLit); isLit {
-				lc, lcst, lsym, lok := affine(e.L, v)
-				if !lok {
-					return 0, 0, "", false
-				}
-				f := int64(1) << uint(lit.Val&63)
-				return lc * f, lcst * f, scaleSym(lsym, f), true
-			}
-			return 0, 0, "", false
-		}
-		return 0, 0, "", false
-	case *Cast:
-		return affine(e.X, v)
-	}
-	return 0, 0, "", false
-}
-
-func joinSym(a, op, b string) string {
-	switch {
-	case a == "" && b == "":
-		return ""
-	case a == "":
-		if op == "-" {
-			return "-" + b
-		}
-		return b
-	case b == "":
-		return a
-	default:
-		return a + op + b
-	}
-}
-
-func scaleSym(s string, k int64) string {
-	if s == "" {
-		return ""
-	}
-	return fmt.Sprintf("(%s)*%d", s, k)
 }

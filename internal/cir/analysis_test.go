@@ -74,9 +74,6 @@ func TestAnalyzeScalarRecurrence(t *testing.T) {
 	if len(l2.ScalarRec) != 1 || l2.ScalarRec[0] != "acc" {
 		t.Fatalf("L2 recurrences = %v", l2.ScalarRec)
 	}
-	if !l2.Carried() {
-		t.Error("L2 should be carried")
-	}
 	// acc is declared inside the task loop body, so the task loop does
 	// NOT carry it: each task re-initializes its accumulator.
 	l0 := info.ByID["L0"]
@@ -101,104 +98,6 @@ func TestAnalyzeOpCounts(t *testing.T) {
 	}
 	if l0.BodyOps.Stores < 1 {
 		t.Errorf("task body stores = %d", l0.BodyOps.Stores)
-	}
-}
-
-// stencil kernel: H written at [i] and read at [i-1] within the loop ->
-// loop-carried array dependence.
-func stencilLoop(readOffset int64) *Loop {
-	return &Loop{
-		ID: "L1", Var: "i",
-		Lo: &IntLit{K: Int, Val: 1}, Hi: &IntLit{K: Int, Val: 64}, Step: 1,
-		Body: Block{&Assign{
-			LHS: &Index{K: Int, Arr: "H", Idx: &VarRef{K: Int, Name: "i"}},
-			RHS: &Index{K: Int, Arr: "H", Idx: &Binary{K: Int, Op: Add,
-				L: &VarRef{K: Int, Name: "i"}, R: &IntLit{K: Int, Val: readOffset}}},
-		}},
-	}
-}
-
-func TestArrayCarriedDetection(t *testing.T) {
-	t.Run("distance one is carried", func(t *testing.T) {
-		k := &Kernel{Name: "s", TaskLoopID: "L0", Body: Block{
-			&ArrDecl{Name: "H", Elem: Int, Len: 64},
-			stencilLoop(-1),
-		}}
-		info := Analyze(k)
-		li := info.ByID["L1"]
-		if !li.ArrayCarried || len(li.CarriedArrays) != 1 || li.CarriedArrays[0] != "H" {
-			t.Errorf("carried = %v %v", li.ArrayCarried, li.CarriedArrays)
-		}
-	})
-	t.Run("distance zero is not carried", func(t *testing.T) {
-		k := &Kernel{Name: "s", TaskLoopID: "L0", Body: Block{
-			&ArrDecl{Name: "H", Elem: Int, Len: 64},
-			stencilLoop(0),
-		}}
-		info := Analyze(k)
-		if info.ByID["L1"].ArrayCarried {
-			t.Error("read-modify-write of the same element flagged as carried")
-		}
-	})
-	t.Run("iteration-local arrays exempt", func(t *testing.T) {
-		// The array is declared INSIDE the loop body: fresh per
-		// iteration, no dependence can cross iterations.
-		inner := stencilLoop(-1)
-		outer := &Loop{
-			ID: "L9", Var: "t",
-			Lo: &IntLit{K: Int, Val: 0}, Hi: &IntLit{K: Int, Val: 4}, Step: 1,
-			Body: Block{&ArrDecl{Name: "H", Elem: Int, Len: 64}, inner},
-		}
-		k := &Kernel{Name: "s", TaskLoopID: "L9", Body: Block{outer}}
-		info := Analyze(k)
-		if info.ByID["L9"].ArrayCarried {
-			t.Error("outer loop flagged carried through its own iteration-local array")
-		}
-		if !info.ByID["L1"].ArrayCarried {
-			t.Error("inner loop should still be carried")
-		}
-	})
-	t.Run("fixed-location accumulator is carried", func(t *testing.T) {
-		l := &Loop{
-			ID: "L1", Var: "i",
-			Lo: &IntLit{K: Int, Val: 0}, Hi: &IntLit{K: Int, Val: 8}, Step: 1,
-			Body: Block{&Assign{
-				LHS: &Index{K: Int, Arr: "H", Idx: &IntLit{K: Int, Val: 0}},
-				RHS: &Binary{K: Int, Op: Add,
-					L: &Index{K: Int, Arr: "H", Idx: &IntLit{K: Int, Val: 0}},
-					R: &VarRef{K: Int, Name: "i"}},
-			}},
-		}
-		k := &Kernel{Name: "s", TaskLoopID: "x", Body: Block{&ArrDecl{Name: "H", Elem: Int, Len: 4}, l}}
-		info := Analyze(k)
-		if !info.ByID["L1"].ArrayCarried {
-			t.Error("H[0] accumulation not flagged as carried")
-		}
-	})
-}
-
-func TestAffineDecomposition(t *testing.T) {
-	// i*129 + (j-1): linear in i with coeff 129; linear in j with coeff 1.
-	e := &Binary{K: Int, Op: Add,
-		L: &Binary{K: Int, Op: Mul, L: &VarRef{K: Int, Name: "i"}, R: &IntLit{K: Int, Val: 129}},
-		R: &Binary{K: Int, Op: Sub, L: &VarRef{K: Int, Name: "j"}, R: &IntLit{K: Int, Val: 1}},
-	}
-	c, cst, _, ok := affine(e, "i")
-	if !ok || c != 129 || cst != -1 {
-		t.Errorf("i: coeff=%d cst=%d ok=%v", c, cst, ok)
-	}
-	c, cst, _, ok = affine(e, "j")
-	if !ok || c != 1 || cst != -1 {
-		t.Errorf("j: coeff=%d cst=%d ok=%v", c, cst, ok)
-	}
-	c, _, sym, ok := affine(e, "k")
-	if !ok || c != 0 || sym == "" {
-		t.Errorf("k: coeff=%d sym=%q ok=%v", c, sym, ok)
-	}
-	// Nonlinear index: i*i.
-	nl := &Binary{K: Int, Op: Mul, L: &VarRef{K: Int, Name: "i"}, R: &VarRef{K: Int, Name: "i"}}
-	if _, _, _, ok := affine(nl, "i"); ok {
-		t.Error("i*i reported linear")
 	}
 }
 

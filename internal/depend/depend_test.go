@@ -1,6 +1,7 @@
 package depend
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -160,6 +161,36 @@ func TestEdgeTable(t *testing.T) {
 		}
 		if v := a.Verdict("L1"); v.Kind != Pipeline || v.MinDist != 1 {
 			t.Fatalf("inner loop: want pipeline distance 1, got %s", a.Verdict("L1").Describe())
+		}
+	})
+
+	t.Run("read-modify-write of the same element is DOALL", func(t *testing.T) {
+		k := kern(
+			&cir.ArrDecl{Name: "H", Elem: cir.Int, Len: 64},
+			loop("L1", "i", 1, 64,
+				&cir.Assign{LHS: idx("H", vref("i")), RHS: idx("H", vref("i"))},
+			),
+		)
+		v := verdictOf(t, k, "L1")
+		if v.Kind != DOALL || len(v.RaceCarried) != 0 {
+			t.Fatalf("H[i] = H[i]: want DOALL, got %s (carried %v)", v.Describe(), v.RaceCarried)
+		}
+	})
+
+	t.Run("array local to the outer body is carried only by the inner stencil", func(t *testing.T) {
+		k := kern(loop("L9", "t", 0, 4,
+			&cir.ArrDecl{Name: "H", Elem: cir.Int, Len: 64},
+			loop("L1", "i", 1, 64,
+				&cir.Assign{LHS: idx("H", vref("i")), RHS: idx("H", sub(vref("i"), intLit(1)))},
+			),
+		))
+		k.TaskLoopID = "L9"
+		a := Analyze(k)
+		if got := fmt.Sprint(a.Verdict("L9").RaceCarried); got != "[]" {
+			t.Fatalf("outer loop carries %s through its iteration-local array", got)
+		}
+		if got := fmt.Sprint(a.Verdict("L1").RaceCarried); got != "[H]" {
+			t.Fatalf("inner stencil carries %s, want [H]", got)
 		}
 	})
 }

@@ -512,7 +512,7 @@ func (s *scheduler) absorb(w *worker, results []tuner.Result, iterMinutes float6
 		}
 		if tr != nil {
 			// The entropy-window value H(D_i) the EntropyStopper just
-			// computed — the curve the -summary sparkline plots.
+			// computed — the curve the run report's Search sparkline plots.
 			if es, ok := w.stopper.(*EntropyStopper); ok && es.hValid {
 				tr.EventT(w.id+1, "dse", "entropy",
 					obs.Vmin(w.clock),

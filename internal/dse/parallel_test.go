@@ -78,7 +78,7 @@ func assertOutcomesIdentical(t *testing.T, seq, par *Outcome) {
 // TestParallelEngineMatchesSequential is the in-package determinism
 // check over real kernels: the full S2FA configuration at several pool
 // sizes must be byte-identical to the sequential reference. (The full
-// 8-app × seed matrix lives in internal/apps; this one keeps the
+// 12-app × seed matrix lives in internal/apps; this one keeps the
 // -race -count=N stress of internal/dse fast while still covering the
 // engine end to end.)
 func TestParallelEngineMatchesSequential(t *testing.T) {

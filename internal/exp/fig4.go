@@ -33,7 +33,7 @@ type Fig4Result struct {
 	MLMax          float64
 }
 
-// Fig4 reproduces Fig. 4 over all eight kernels.
+// Fig4 reproduces Fig. 4 over all twelve workload kernels.
 func Fig4(s *Suite) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	var logSum float64

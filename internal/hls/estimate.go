@@ -508,7 +508,7 @@ func (m *model) flattenOps(li *cir.LoopInfo) (cir.OpCount, float64, bool) {
 		sub.Scale(int(c.Trip))
 		ops.Add(sub)
 		switch {
-		case len(c.CarriedArrays) > 0:
+		case len(m.dep.EffectiveRace(c.Loop.ID)) > 0:
 			chain += float64(c.Trip) * math.Max(1, seqLat(c.BodyOps)/4)
 		case len(c.ScalarRec) > 0:
 			chain += math.Log2(float64(c.Trip)+1) * seqLat(c.RecOps)

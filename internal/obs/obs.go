@@ -1,7 +1,7 @@
 // Package obs is the framework's zero-dependency observability layer:
 // hierarchical tracing spans, instant events, and monotonic counters,
 // emitted to pluggable sinks (JSONL stream, Chrome trace_event file,
-// in-memory summary collector).
+// in-memory event list). internal/report explains a recorded run.
 //
 // Every event carries a dual clock. The real clock is monotonic
 // nanoseconds since the trace started and measures where the *tool*

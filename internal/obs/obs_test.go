@@ -194,47 +194,6 @@ func TestChromeSinkDirect(t *testing.T) {
 	}
 }
 
-// TestCollectorSummary: the collector must aggregate stage times, HLS
-// rankings, bandit arms, the entropy curve, and counters into a report.
-func TestCollectorSummary(t *testing.T) {
-	col := NewCollector()
-	tr := New(Multi(NewMemory(), col), WithClock(fakeClock()))
-
-	k := tr.Begin("kdsl", "compile")
-	k.End()
-	h := tr.Begin("hls", "estimate", Str("point", "L0.parallel=4"), Str("cache", "fresh"))
-	h.End(F64("synth_min", 7.5), Bool("feasible", true))
-	h2 := tr.Begin("hls", "estimate", Str("point", "L0.parallel=8"), Str("cache", "hit"))
-	h2.End()
-	tr.Event("tuner", "select", Str("arm", "greedy-mutation"), F64("auc", 0.4))
-	tr.Event("tuner", "reward", Str("arm", "greedy-mutation"), Bool("new_best", true))
-	tr.Event("dse", "entropy", F64("h", 2.0), Vmin(5))
-	tr.Event("dse", "entropy", F64("h", 1.5), Vmin(9))
-	tr.Event("dse", "incumbent", F64("objective", 0.004), Vmin(9))
-	tr.Count("dse.evals", 12)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	out := col.Render()
-	for _, want := range []string{
-		"kdsl/compile",
-		"hls/estimate",
-		"synth=  7.5min",
-		"greedy-mutation",
-		"entropy window (2 samples",
-		"incumbent updates: 1",
-		"dse.evals",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "L0.parallel=8") {
-		t.Error("cache hit ranked among fresh estimations")
-	}
-}
-
 // TestSpanMisnestOutOfOrder: closing a span while younger spans are
 // still open must repair the stack (abandoning the younger opens), emit
 // a span-misnest diagnostic, and keep later parenting correct.
@@ -391,22 +350,5 @@ func TestJSONLCloseWrapsEncodeError(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}
-	}
-}
-
-// TestSparkline quantizes into the block glyphs with min/max pinning.
-func TestSparkline(t *testing.T) {
-	got := Sparkline([]float64{0, 1, 2, 3}, 8)
-	if got != "▁▃▅█" {
-		t.Errorf("sparkline = %q", got)
-	}
-	if Sparkline(nil, 8) != "" {
-		t.Error("empty input should render empty")
-	}
-	if got := Sparkline([]float64{5, 5, 5}, 8); got != "▁▁▁" {
-		t.Errorf("flat curve = %q", got)
-	}
-	if n := len([]rune(Sparkline(make([]float64, 1000), 64))); n != 64 {
-		t.Errorf("downsampled width = %d, want 64", n)
 	}
 }

@@ -71,7 +71,7 @@ func (s *chromeSink) Emit(e Event) { s.events = append(s.events, e) }
 func (s *chromeSink) Close() error { return WriteChrome(s.events, s.w) }
 
 // multiSink fans every event out to several sinks (e.g. a JSONL file
-// plus the in-memory summary collector).
+// plus the in-memory sink `s2fa -summary` renders).
 type multiSink struct{ sinks []Sink }
 
 // Multi combines sinks; Close closes each and returns the first error.

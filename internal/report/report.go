@@ -3,8 +3,11 @@
 // time (stage waterfall with percentiles), which fresh HLS estimations
 // were slowest and why (bottleneck verdicts with their offending access
 // sites), how much of the design space each static analysis pruned,
-// how busy the parallel engine's workers were, and how blaze requests
-// split between accelerator offload and JVM fallback.
+// how the search itself behaved (bandit arms, the entropy window, final
+// counters), how busy the parallel engine's workers were, and how blaze
+// requests split between accelerator offload and JVM fallback. It is
+// the one run explainer: s2fa-report renders it from files, and
+// `s2fa -summary` renders it in-process from an in-memory sink.
 //
 // The renderer is a pure function of its inputs: with a deterministic
 // trace (injected clock) the report body is byte-reproducible, which is
@@ -50,6 +53,7 @@ func Render(events []obs.Event, metrics *obs.MetricsSnapshot, opt Options) strin
 	a.renderWaterfall(&b, opt)
 	a.renderSlowEstimations(&b, opt)
 	a.renderPrunes(&b, opt)
+	a.renderSearch(&b, opt)
 	renderCompileCache(&b, a, metrics, opt)
 	a.renderWorkers(&b, opt)
 	a.renderBlaze(&b, opt)
@@ -70,6 +74,14 @@ type stageAgg struct {
 	hist  *obs.Histogram // durations in µs
 	total int64          // ns
 	first int            // seq of first appearance, for waterfall order
+}
+
+// armStat aggregates one bandit arm's tuner events.
+type armStat struct {
+	name       string
+	selections int
+	wins       int     // rewards that set a new best
+	lastAUC    float64 // AUC at the most recent selection
 }
 
 type blazeReq struct {
@@ -93,6 +105,9 @@ type analysis struct {
 
 	trackBusyNS map[int]int64 // tid>0: summed top-level span time
 	blaze       []blazeReq
+
+	arms    []*armStat // first-appearance order
+	entropy []float64  // entropy-window samples feeding the stopper
 }
 
 func analyze(events []obs.Event) *analysis {
@@ -106,6 +121,17 @@ func analyze(events []obs.Event) *analysis {
 	seqOf := map[int64]int{}
 	blazeByReq := map[int64]*blazeReq{}
 	var blazeOrder []int64
+	armByName := map[string]*armStat{}
+	arm := func(e obs.Event) *armStat {
+		name, _ := e.Args["arm"].(string)
+		st := armByName[name]
+		if st == nil {
+			st = &armStat{name: name}
+			armByName[name] = st
+			a.arms = append(a.arms, st)
+		}
+		return st
+	}
 
 	for i, e := range events {
 		if a.firstNS == 0 || e.NS < a.firstNS {
@@ -176,6 +202,18 @@ func analyze(events []obs.Event) *analysis {
 					blazeOrder = append(blazeOrder, req)
 				}
 				br.children = append(br.children, e)
+			}
+			switch {
+			case e.Cat == "tuner" && e.Name == "select":
+				st := arm(e)
+				st.selections++
+				st.lastAUC = asFloat(e.Args["auc"])
+			case e.Cat == "tuner" && e.Name == "reward":
+				if nb, _ := e.Args["new_best"].(bool); nb {
+					arm(e).wins++
+				}
+			case e.Cat == "dse" && e.Name == "entropy":
+				a.entropy = append(a.entropy, asFloat(e.Args["h"]))
 			}
 		case obs.PhaseCounter:
 			// Count samples carry the running total; the last one wins.
@@ -318,6 +356,88 @@ func (a *analysis) renderPrunes(b *strings.Builder, opt Options) {
 	}
 	rows = append(rows, []string{"HLS cache", fmt.Sprintf("%d", a.counters["hls.cache_hits"]), "re-evaluations served from the report cache"})
 	writeTable(b, rows, opt)
+}
+
+// sparkWidth caps the entropy sparkline; longer windows are bucketed.
+const sparkWidth = 64
+
+// renderSearch explains the search itself: the bandit arm table, the
+// entropy window the stopper watched, and every counter's final value.
+func (a *analysis) renderSearch(b *strings.Builder, opt Options) {
+	if len(a.arms) == 0 && len(a.entropy) == 0 && len(a.counters) == 0 {
+		return
+	}
+	b.WriteString("\n## Search\n")
+	if len(a.arms) > 0 {
+		b.WriteString("\nBandit arms in first-use order.\n\n")
+		rows := [][]string{{"arm", "selections", "new-best rewards", "last AUC"}}
+		for _, st := range a.arms {
+			rows = append(rows, []string{st.name, fmt.Sprintf("%d", st.selections),
+				fmt.Sprintf("%d", st.wins), fmt.Sprintf("%.3f", st.lastAUC)})
+		}
+		writeTable(b, rows, opt)
+	}
+	if len(a.entropy) > 0 {
+		fmt.Fprintf(b, "\nEntropy window (%d samples feeding the stopper): %s\n",
+			len(a.entropy), Sparkline(a.entropy, sparkWidth))
+	}
+	if len(a.counters) > 0 {
+		names := make([]string, 0, len(a.counters))
+		for name := range a.counters { //determinism:allow sorted below
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b.WriteString("\nFinal counter values.\n\n")
+		rows := [][]string{{"counter", "value"}}
+		for _, name := range names {
+			rows = append(rows, []string{name, fmt.Sprintf("%d", a.counters[name])})
+		}
+		writeTable(b, rows, opt)
+	}
+}
+
+// sparkChars are the eight block glyphs a sparkline quantizes into.
+var sparkChars = []rune("▁▂▃▄▅▆▇█")
+
+// Sparkline renders values as a unicode curve at most width glyphs wide
+// (bucketed by mean when len(values) > width; width <= 0 means 64).
+func Sparkline(values []float64, width int) string {
+	if len(values) == 0 {
+		return ""
+	}
+	if width <= 0 {
+		width = sparkWidth
+	}
+	buckets := values
+	if len(values) > width {
+		buckets = make([]float64, width)
+		for i := range buckets {
+			lo := i * len(values) / width
+			hi := (i + 1) * len(values) / width
+			if hi <= lo {
+				hi = lo + 1
+			}
+			var sum float64
+			for _, v := range values[lo:hi] {
+				sum += v
+			}
+			buckets[i] = sum / float64(hi-lo)
+		}
+	}
+	min, max := math.Inf(1), math.Inf(-1)
+	for _, v := range buckets {
+		min = math.Min(min, v)
+		max = math.Max(max, v)
+	}
+	var b strings.Builder
+	for _, v := range buckets {
+		idx := 0
+		if max > min {
+			idx = int((v - min) / (max - min) * float64(len(sparkChars)-1))
+		}
+		b.WriteRune(sparkChars[idx])
+	}
+	return b.String()
 }
 
 // renderCompileCache surfaces the content-addressed compile cache:
