@@ -249,7 +249,7 @@ func BenchmarkCompileCached(b *testing.B) {
 }
 
 // BenchmarkHLSEstimate measures one analytic synthesis evaluation of the
-// Smith-Waterman kernel.
+// Smith-Waterman kernel, the kernel analyses included (hls.Estimate).
 func BenchmarkHLSEstimate(b *testing.B) {
 	a := apps.Get("S-W")
 	k, err := a.Kernel()
@@ -267,6 +267,33 @@ func BenchmarkHLSEstimate(b *testing.B) {
 		hls.Estimate(ann, dev, int64(a.Tasks), hls.Options{})
 	}
 }
+
+// BenchmarkHLSPrice measures pricing one annotation of the
+// Smith-Waterman kernel against its prebuilt analysis: the per-point
+// cost the DSE pays, with the per-kernel analyses off the clock.
+func BenchmarkHLSPrice(b *testing.B) {
+	a := apps.Get("S-W")
+	k, err := a.Kernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := fpga.VU9P()
+	sp := space.Identify(k)
+	ann, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	an := hls.Analyze(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		priceSink = an.Estimate(ann, dev, int64(a.Tasks), hls.Options{})
+	}
+}
+
+// priceSink keeps BenchmarkHLSPrice's result live so the compiler cannot
+// drop the priced call.
+var priceSink hls.Report
 
 // BenchmarkMerlinMaterialize measures structural transformation (tile +
 // unroll with tree reduction) of the LR kernel.

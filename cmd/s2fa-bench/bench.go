@@ -389,6 +389,8 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 	}
 	stage("space_identify", func() { space.Identify(k) })
 	stage("hls_estimate", func() { hls.Estimate(ann, dev, int64(a.Tasks), hls.Options{}) })
+	an := hls.Analyze(k)
+	stage("hls_price", func() { an.Estimate(ann, dev, int64(a.Tasks), hls.Options{}) })
 	stage("merlin_annotate", func() {
 		if _, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed())); err != nil {
 			panic(err)

@@ -55,7 +55,10 @@ type Outcome struct {
 	Trajectory           []TrajPoint
 	TotalMinutes         float64
 	Evaluations          int
-	Partitions           []Partition
+	// Partitions is the FCFS queue the run searched, in serving order.
+	// A partition is its constraints and rule labels only; it keeps no
+	// space or kernel alive (Partition.Space rebuilds its sub-box).
+	Partitions []Partition
 	// StaticallyPruned counts proposed points the guard's lint legality
 	// rule rejected before evaluation (Config.Prune); each cost
 	// microseconds instead of virtual synthesis minutes.
@@ -168,7 +171,8 @@ type Config struct {
 	// Both analyses are deterministic pure functions of the kernel, so
 	// supplying them never changes the search trajectory — only setup
 	// cost. They must describe the same kernel Run receives; nil fields
-	// are computed on demand.
+	// are computed on demand. The evaluators price points against their
+	// own hls.Analyze of the kernel, built once when they are created.
 	Depend *depend.Analysis
 	Access *access.Analysis
 	// Trace, when set, receives the search telemetry: per-partition
@@ -246,11 +250,11 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	if cfg.Partition != nil {
 		parts = BuildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed)
 	} else {
-		parts = []Partition{{Sub: sp}}
+		parts = []Partition{{}}
 	}
 	out.Partitions = parts
 
-	sched := newScheduler(cfg, parts, eval, out)
+	sched := newScheduler(cfg, sp, parts, eval, out)
 	sched.run()
 	return finishOutcome(out, sched)
 }
@@ -293,7 +297,9 @@ type worker struct {
 }
 
 type scheduler struct {
-	cfg      Config
+	cfg Config
+	// sp is the full space; a worker searches its partition's sub-box.
+	sp       *space.Space
 	parts    []Partition
 	eval     tuner.Evaluator
 	out      *Outcome
@@ -312,12 +318,12 @@ type scheduler struct {
 	onAssign func(w *worker)
 }
 
-func newScheduler(cfg Config, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
-	return newSchedulerHooked(cfg, parts, eval, out, nil)
+func newScheduler(cfg Config, sp *space.Space, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
+	return newSchedulerHooked(cfg, sp, parts, eval, out, nil)
 }
 
-func newSchedulerHooked(cfg Config, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
-	s := &scheduler{cfg: cfg, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
+func newSchedulerHooked(cfg Config, sp *space.Space, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
+	s := &scheduler{cfg: cfg, sp: sp, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
 	s.start()
 	return s
 }
@@ -344,16 +350,17 @@ func (s *scheduler) assign(w *worker) {
 	idx := s.nextPart
 	s.nextPart++
 	p := s.parts[idx]
+	sub := p.Space(s.sp)
 	w.part = idx
-	w.driver = tuner.NewDriver(p.Sub, s.eval, s.cfg.Seed*7919+int64(idx)*104729+1)
+	w.driver = tuner.NewDriver(sub, s.eval, s.cfg.Seed*7919+int64(idx)*104729+1)
 	w.driver.Trace = s.cfg.Trace
 	w.driver.TID = w.id + 1
 	w.stopper = s.cfg.Stopper.Clone()
 	w.seeds = nil
 	if s.cfg.Seeded {
-		w.seeds = []space.Point{p.Sub.PerformanceSeed(), p.Sub.AreaSeed()}
+		w.seeds = []space.Point{sub.PerformanceSeed(), sub.AreaSeed()}
 	} else {
-		w.seeds = []space.Point{p.Sub.RandomPoint(w.driver.Rng)}
+		w.seeds = []space.Point{sub.RandomPoint(w.driver.Rng)}
 	}
 	w.done = false
 	w.pevals = 0

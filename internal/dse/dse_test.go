@@ -36,8 +36,9 @@ func TestPartitionsDisjointAndCovering(t *testing.T) {
 		t.Fatalf("only %d partitions", len(parts))
 	}
 	contains := func(p Partition, pt space.Point) bool {
-		for i := range p.Sub.Params {
-			prm := &p.Sub.Params[i]
+		sub := p.Space(sp)
+		for i := range sub.Params {
+			prm := &sub.Params[i]
 			if !prm.Contains(pt[prm.Name]) {
 				return false
 			}
@@ -68,7 +69,7 @@ func TestPartitionsSplitOnTaskSchedule(t *testing.T) {
 	parts := BuildPartitions(sp, k, eval, DefaultPartitionConfig(), 1)
 	modes := map[int]bool{}
 	for _, p := range parts {
-		prm := p.Sub.Param(k.TaskLoopID + ".pipeline")
+		prm := p.Space(sp).Param(k.TaskLoopID + ".pipeline")
 		if prm.Size() != 1 {
 			t.Fatalf("partition %q does not pin the task pipeline mode", p.String())
 		}

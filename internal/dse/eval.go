@@ -20,24 +20,28 @@ func NewEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt
 }
 
 // NewPureEvaluator is the uncached design-point evaluator: every call
-// runs the full Merlin + estimator pipeline and charges fresh synthesis
-// minutes. It is a pure function of the point (given fixed
-// kernel/space/device/options) and touches no shared mutable state, so
-// the concurrent engine's worker pool calls it from many goroutines at
+// runs Merlin and prices the annotation, charging fresh synthesis
+// minutes. The kernel analyses the estimator reads are computed once,
+// here, and shared by every point (hls.Analyze). It is a pure function
+// of the point (given fixed kernel/space/device/options) and touches no
+// shared mutable state — the shared analysis is read-only — so the
+// concurrent engine's worker pool calls it from many goroutines at
 // once; memoization is layered on top by the engines (NewTracedEvaluator
 // for the sequential path, the replay evaluator for the parallel one).
 func NewPureEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
+	an := hls.Analyze(k)
 	return func(pt space.Point) tuner.Result {
-		r, _ := pureEval(k, sp, dev, n, opt, pt)
+		r, _ := pureEval(an, k, sp, dev, n, opt, pt)
 		return r
 	}
 }
 
-// pureEval evaluates one point with no cache and no tracing. The bool
-// reports whether Merlin rejected the point before estimation, which the
-// traced wrappers surface in their span args. Rejected results carry a
-// nil Meta; estimated ones always carry their hls.Report.
-func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
+// pureEval evaluates one point against the analysis an of k with no
+// cache and no tracing. The bool reports whether Merlin rejected the
+// point before estimation, which the traced wrappers surface in their
+// span args. Rejected results carry a nil Meta; estimated ones always
+// carry their hls.Report.
+func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
 	d := sp.Directives(pt)
 	ann, err := merlin.Annotate(k, d)
 	if err != nil {
@@ -48,7 +52,7 @@ func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls
 			Minutes:   1, // rejected before synthesis
 		}, true
 	}
-	rep := hls.Estimate(ann, dev, n, opt)
+	rep := an.Estimate(ann, dev, n, opt)
 	obj := rep.Seconds()
 	if !rep.Feasible {
 		// Graded penalty: infeasible points are never accepted
@@ -76,6 +80,7 @@ func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls
 // single caller its hit/miss sequence is identical to the old plain-map
 // implementation.
 func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
+	an := hls.Analyze(k)
 	cache := hls.NewCache[tuner.Result](hls.DefaultCacheShards)
 	return func(pt space.Point) tuner.Result {
 		key := pt.Key()
@@ -86,7 +91,7 @@ func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int6
 					obs.Str("point", key), obs.Str("cache", "fresh"))
 				tr.Count("hls.estimations", 1)
 			}
-			res, rejected := pureEval(k, sp, dev, n, opt, pt)
+			res, rejected := pureEval(an, k, sp, dev, n, opt, pt)
 			span.End(estimateEndKVs(res, rejected)...)
 			tr.Observe("hls_synth_minutes", res.Minutes)
 			return res

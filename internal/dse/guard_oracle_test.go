@@ -149,6 +149,7 @@ func TestGuardOracle(t *testing.T) {
 			cfg := S2FAConfig(seed)
 			tally := &Outcome{}
 			guard := newGuard(pruneRules(ok.k, sp, cfg), NewEvaluator(ok.k, sp, dev, ok.tasks, hls.Options{}), tally, nil)
+			pure := NewPureEvaluator(ok.k, sp, dev, ok.tasks, hls.Options{})
 			served, rejected := 0, 0
 			eval := func(pt space.Point) tuner.Result {
 				before := *tally
@@ -156,13 +157,13 @@ func TestGuardOracle(t *testing.T) {
 				switch {
 				case tally.StaticallyPruned > before.StaticallyPruned:
 					rejected++
-					if fresh, _ := pureEval(ok.k, sp, dev, ok.tasks, hls.Options{}, pt); fresh.Feasible {
+					if pure(pt).Feasible {
 						t.Errorf("%s seed %d: static rule rejected feasible point %s", ok.name, seed, pt.Key())
 					}
 				case tally.DependPruned > before.DependPruned, tally.AccessPruned > before.AccessPruned,
 					tally.RangeCollapsed > before.RangeCollapsed:
 					served++
-					fresh, _ := pureEval(ok.k, sp, dev, ok.tasks, hls.Options{}, pt)
+					fresh := pure(pt)
 					if r.Objective != fresh.Objective || r.Feasible != fresh.Feasible ||
 						r.Minutes != fresh.Minutes || !reflect.DeepEqual(r.Meta, fresh.Meta) {
 						t.Errorf("%s seed %d: guard served %s\n  served %v (objective %g, %g min)\n  fresh  %v (objective %g, %g min)",

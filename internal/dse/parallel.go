@@ -74,12 +74,12 @@ func runParallel(k *cir.Kernel, sp *space.Space, pure tuner.Evaluator, cfg Confi
 	if cfg.Partition != nil {
 		parts = buildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed, pool.prefetch)
 	} else {
-		parts = []Partition{{Sub: sp}}
+		parts = []Partition{{}}
 	}
 	out.Partitions = parts
 
 	ps := &parScheduler{cfg: cfg, pool: pool}
-	ps.s = newSchedulerHooked(cfg, parts, eval, out, ps.prepare)
+	ps.s = newSchedulerHooked(cfg, sp, parts, eval, out, ps.prepare)
 	ps.run()
 	return finishOutcome(out, ps.s)
 }

@@ -34,10 +34,12 @@ type Rule struct {
 func (r Rule) String() string { return fmt.Sprintf("%s < ord %d (%s)", r.Param, r.SplitOrd, r.Why) }
 
 // Partition is a leaf of the decision tree: a sub-box of the design space
-// described by conjoined constraints.
+// described by conjoined constraints on the full space's ordinals. It
+// holds no space of its own; the scheduler restricts the full space to
+// it when a worker takes it (Space), so a finished Outcome's partitions
+// pin neither a space copy nor the kernel.
 type Partition struct {
 	Constraints []space.Constraint
-	Sub         *space.Space
 	Rules       []string
 	// MeanLatency is the mean objective of offline training samples that
 	// fell inside this partition; the FCFS queue is sorted by it.
@@ -49,6 +51,21 @@ func (p Partition) String() string {
 		return "full space"
 	}
 	return strings.Join(p.Rules, " & ")
+}
+
+// Space returns the sub-box of full the partition describes: full itself
+// when the partition is unconstrained. BuildPartitions only yields
+// non-empty boxes, so a constraint that empties a domain is a
+// programmer error and panics.
+func (p Partition) Space(full *space.Space) *space.Space {
+	if len(p.Constraints) == 0 {
+		return full
+	}
+	sub, err := space.Restrict(full, p.Constraints)
+	if err != nil {
+		panic(fmt.Sprintf("dse: partition %s: %v", p, err))
+	}
+	return sub
 }
 
 // CandidateRules derives the rule pool for a kernel from its loop
@@ -137,7 +154,7 @@ func buildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 	rng := rand.New(rand.NewSource(seed))
 	rules := CandidateRules(s, k)
 	if len(rules) == 0 {
-		return []Partition{{Sub: s}}
+		return []Partition{{}}
 	}
 
 	// Training set: uniform samples plus samples anchored around the
@@ -193,11 +210,6 @@ func buildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 	var parts []Partition
 	tp := s.Param(taskPipe)
 	for ord := 0; ord < tp.Size(); ord++ {
-		c := space.Constraint{Param: taskPipe, LoOrd: ord, HiOrd: ord}
-		sub, err := space.Restrict(s, []space.Constraint{c})
-		if err != nil {
-			continue
-		}
 		var branchSamples []treeSample
 		for _, smp := range samples {
 			if tp.Ordinal(smp.pt[taskPipe]) == ord {
@@ -211,14 +223,14 @@ func buildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 			}
 		}
 		why := fmt.Sprintf("%s==%d", taskPipe, tp.ValueAt(ord))
-		// Within sub the task-pipeline domain is already the single
-		// value; the path constraint is rebased to ordinal 0.
-		rebased := space.Constraint{Param: taskPipe, LoOrd: 0, HiOrd: 0}
-		root := buildTree(branchSamples, branchRules, sub, cfg, 1)
-		collectLeaves(root, sub, []space.Constraint{rebased}, []string{why}, branchSamples, &parts)
+		// The branch rules leave the task pipeline alone, so the tree
+		// below it splits domains the full space shares with the branch.
+		c := space.Constraint{Param: taskPipe, LoOrd: ord, HiOrd: ord}
+		root := buildTree(branchSamples, branchRules, s, cfg, 1)
+		collectLeaves(root, s, []space.Constraint{c}, []string{why}, branchSamples, &parts)
 	}
 	if len(parts) == 0 {
-		return []Partition{{Sub: s}}
+		return []Partition{{}}
 	}
 	// Serve the most promising region first: FCFS order by mean training
 	// latency inside each leaf.
@@ -297,10 +309,6 @@ func variance(samples []treeSample) float64 {
 
 func collectLeaves(n *treeNode, s *space.Space, cons []space.Constraint, why []string, samples []treeSample, out *[]Partition) {
 	if n.rule == nil {
-		sub, err := space.Restrict(s, cons)
-		if err != nil {
-			return // empty sub-box; cannot happen with well-formed rules
-		}
 		mean := math.Inf(1)
 		if len(samples) > 0 {
 			mean = 0
@@ -311,7 +319,6 @@ func collectLeaves(n *treeNode, s *space.Space, cons []space.Constraint, why []s
 		}
 		p := Partition{
 			Constraints: append([]space.Constraint(nil), cons...),
-			Sub:         sub,
 			Rules:       append([]string(nil), why...),
 			MeanLatency: mean,
 		}

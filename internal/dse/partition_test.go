@@ -82,7 +82,7 @@ func TestPartitionCardinalitiesSumToSpace(t *testing.T) {
 		parts := BuildPartitions(sp, k, eval, DefaultPartitionConfig(), 7)
 		var sum float64
 		for _, p := range parts {
-			sum += p.Sub.Cardinality()
+			sum += p.Space(sp).Cardinality()
 		}
 		total := sp.Cardinality()
 		if math.Abs(sum-total) > 1e-9*total {
@@ -100,12 +100,13 @@ func TestPartitionSubDomainsAreSubsets(t *testing.T) {
 	eval := NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{})
 	parts := BuildPartitions(sp, k, eval, DefaultPartitionConfig(), 7)
 	for _, part := range parts {
-		if len(part.Sub.Params) != len(sp.Params) {
+		sub := part.Space(sp)
+		if len(sub.Params) != len(sp.Params) {
 			t.Fatalf("partition %q dropped parameters: %d vs %d",
-				part, len(part.Sub.Params), len(sp.Params))
+				part, len(sub.Params), len(sp.Params))
 		}
-		for i := range part.Sub.Params {
-			p := &part.Sub.Params[i]
+		for i := range sub.Params {
+			p := &sub.Params[i]
 			parent := sp.Param(p.Name)
 			if parent == nil {
 				t.Fatalf("partition %q invented parameter %q", part, p.Name)

@@ -32,10 +32,14 @@ type plainReport hls.Report
 // estimateDigest hashes the full report of every design point the
 // digest covers for one kernel: both seeds, seeded random points, and
 // each random point with pipeline=flatten forced on every non-task loop.
-// Points Merlin rejects hash their error instead.
-func estimateDigest(k *cir.Kernel, tasks int64, seed int64) string {
+// Points Merlin rejects hash their error instead. Every point is priced
+// against one analysis of the base kernel, the way the DSE prices it,
+// and must match the one-shot hls.Estimate of its annotation.
+func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string {
+	t.Helper()
 	dev := fpga.VU9P()
 	sp := space.Identify(k)
+	an := hls.Analyze(k)
 	pts := []space.Point{sp.PerformanceSeed(), sp.AreaSeed()}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < digestRandomPoints; i++ {
@@ -59,7 +63,12 @@ func estimateDigest(k *cir.Kernel, tasks int64, seed int64) string {
 			fmt.Fprintf(h, "%s: %v\n", pt.Key(), err)
 			continue
 		}
-		fmt.Fprintf(h, "%s: %+v\n", pt.Key(), plainReport(hls.Estimate(ann, dev, tasks, hls.Options{})))
+		rep := an.Estimate(ann, dev, tasks, hls.Options{})
+		if once := hls.Estimate(ann, dev, tasks, hls.Options{}); rep != once {
+			t.Errorf("%s %s: shared-analysis report\n%+v\ndiffers from one-shot\n%+v",
+				k.Name, pt.Key(), plainReport(rep), plainReport(once))
+		}
+		fmt.Fprintf(h, "%s: %+v\n", pt.Key(), plainReport(rep))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -74,7 +83,7 @@ func estimateDigestTable(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "%-10s %s\n", a.Name, estimateDigest(k, int64(a.Tasks), int64(i+1)))
+		fmt.Fprintf(&b, "%-10s %s\n", a.Name, estimateDigest(t, k, int64(a.Tasks), int64(i+1)))
 	}
 	for i, g := range kdslgen.Generate(12, 48) {
 		cls, err := kdsl.CompileSource(g.Source)
@@ -85,7 +94,7 @@ func estimateDigestTable(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		fmt.Fprintf(&b, "%-10s %s\n", g.Name, estimateDigest(k, 512, int64(100+i)))
+		fmt.Fprintf(&b, "%-10s %s\n", g.Name, estimateDigest(t, k, 512, int64(100+i)))
 	}
 	return b.String()
 }

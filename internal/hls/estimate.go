@@ -92,22 +92,87 @@ func (r Report) String() string {
 }
 
 // Estimate performs high-level synthesis estimation for the annotated
-// kernel over a batch of n tasks on the given device.
+// kernel over a batch of n tasks on the given device. It analyzes k and
+// prices it in one go; a caller pricing many annotations of one kernel
+// analyzes it once with Analyze and prices each through
+// Analysis.Estimate, which yields the identical report.
 func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
-	info := cir.Analyze(k)
-	m := &model{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k), dev: dev, n: n, opt: opt,
-		widths: portWidths(k)}
-	return m.run()
+	return Analyze(k).Estimate(k, dev, n, opt)
 }
 
-type model struct {
+// Analysis is the per-kernel half of estimation: the loop-nest,
+// dependence and access analyses of one kernel. None of them reads a
+// directive (merlin.Annotate only sets Loop.Opt and Param.BitWidth), so
+// the analyses of the base kernel hold for every annotation of it. An
+// Analysis is read-only once Analyze returns, so concurrent Estimate
+// calls may share it.
+type Analysis struct {
 	kernel *cir.Kernel
 	info   *cir.KernelInfo
 	dep    *depend.Analysis
 	acc    *access.Analysis
-	dev    *fpga.Device
-	n      int64
-	opt    Options
+	// pos maps each analyzed loop to its preorder index, which is where
+	// Estimate files the annotation's options for that loop.
+	pos map[*cir.LoopInfo]int
+}
+
+// Analyze runs the analyses the estimator reads on kernel k.
+func Analyze(k *cir.Kernel) *Analysis {
+	info := cir.Analyze(k)
+	a := &Analysis{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k),
+		pos: make(map[*cir.LoopInfo]int, len(info.All))}
+	for i, li := range info.All {
+		a.pos[li] = i
+	}
+	return a
+}
+
+// Estimate prices ann, an annotation of the analyzed kernel, over a
+// batch of n tasks on the given device: the loop options and interface
+// widths come from ann, everything else from the analysis. It panics
+// when ann's loops or parameters are not the analyzed kernel's.
+func (a *Analysis) Estimate(ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
+	m := &model{Analysis: a, dev: dev, n: n, opt: opt, opts: a.loopOpts(ann), widths: portWidths(ann)}
+	return m.run()
+}
+
+// loopOpts returns ann's loop options indexed like the analyzed loops,
+// panicking when ann is not an annotation of the analyzed kernel.
+func (a *Analysis) loopOpts(ann *cir.Kernel) []cir.LoopOpt {
+	mismatch := func(what string) {
+		panic(fmt.Sprintf("hls: kernel %s priced against the analysis of kernel %s: %s differ", ann.Name, a.kernel.Name, what))
+	}
+	if ann.Name != a.kernel.Name || len(ann.Params) != len(a.kernel.Params) {
+		mismatch("names or parameters")
+	}
+	for i := range ann.Params {
+		if ann.Params[i].Name != a.kernel.Params[i].Name {
+			mismatch("parameters")
+		}
+	}
+	loops := ann.Loops()
+	if len(loops) != len(a.info.All) {
+		mismatch("loop nests")
+	}
+	opts := make([]cir.LoopOpt, len(loops))
+	for i, l := range loops {
+		if l.ID != a.info.All[i].Loop.ID {
+			mismatch("loop IDs")
+		}
+		opts[i] = l.Opt
+	}
+	return opts
+}
+
+type model struct {
+	*Analysis
+	dev *fpga.Device
+	n   int64
+	opt Options
+	// opts holds each analyzed loop's directives, indexed by its
+	// preorder position (see loopOpt); the model reads loop options only
+	// through it.
+	opts []cir.LoopOpt
 	// widths holds each parameter's interface width (see portWidths);
 	// the width model reads widths only through it.
 	widths []int
@@ -120,6 +185,11 @@ type model struct {
 	// "port-contention"); the outermost loop is scheduled last, so its
 	// binding floor wins.
 	iiTag string
+}
+
+// loopOpt returns the directives the priced annotation sets on li.
+func (m *model) loopOpt(li *cir.LoopInfo) cir.LoopOpt {
+	return m.opts[m.pos[li]]
 }
 
 // raise lifts *ii to v when v is the new binding floor and records which
@@ -293,7 +363,7 @@ func (m *model) laneCap(li *cir.LoopInfo) int {
 // a loop yields a report identical to its parallel=1 sibling — the
 // invariant the DSE dependence collapse relies on.
 func (m *model) inertLanes(li *cir.LoopInfo) bool {
-	return li.Loop.Opt.Pipeline == cir.PipeOff && len(m.dep.EffectiveRace(li.Loop.ID)) > 0
+	return m.loopOpt(li).Pipeline == cir.PipeOff && len(m.dep.EffectiveRace(li.Loop.ID)) > 0
 }
 
 // stage describes one scheduled region: its total latency and its
@@ -314,9 +384,9 @@ func (m *model) loopLat(li *cir.LoopInfo) (float64, float64) {
 }
 
 func (m *model) schedule(li *cir.LoopInfo) stage {
-	l := li.Loop
+	opt := m.loopOpt(li)
 	trip := float64(li.Trip)
-	if l.ID == m.kernel.TaskLoopID {
+	if li.Loop.ID == m.kernel.TaskLoopID {
 		trip = float64(m.n)
 	}
 	if trip <= 0 {
@@ -324,7 +394,7 @@ func (m *model) schedule(li *cir.LoopInfo) stage {
 		// bounded loop): charge a nominal 16 iterations.
 		trip = 16
 	}
-	u := float64(maxInt(1, l.Opt.Parallel))
+	u := float64(maxInt(1, opt.Parallel))
 	if u > trip {
 		u = trip
 	}
@@ -333,13 +403,13 @@ func (m *model) schedule(li *cir.LoopInfo) stage {
 	}
 
 	switch {
-	case l.Opt.Pipeline == cir.PipeFlatten:
+	case opt.Pipeline == cir.PipeFlatten:
 		return m.flattenStage(li, trip, u)
-	case l.Opt.Pipeline == cir.PipeOn && len(li.Children) == 0:
+	case opt.Pipeline == cir.PipeOn && len(li.Children) == 0:
 		// The scheduler never produces a pipeline slower than the
 		// sequential schedule (it falls back when II offers no gain).
 		return betterStage(m.pipeLeafStage(li, trip, u), m.seqStage(li, trip, u))
-	case l.Opt.Pipeline == cir.PipeOn:
+	case opt.Pipeline == cir.PipeOn:
 		return betterStage(m.dataflowStage(li, trip, u), m.seqStage(li, trip, u))
 	default:
 		return m.seqStage(li, trip, u)
@@ -723,7 +793,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 
 	var walk func(li *cir.LoopInfo, rep int)
 	walk = func(li *cir.LoopInfo, rep int) {
-		u := maxInt(1, li.Loop.Opt.Parallel)
+		opt := m.loopOpt(li)
+		u := maxInt(1, opt.Parallel)
 		if li.Trip > 0 && int64(u) > li.Trip {
 			u = int(li.Trip)
 		}
@@ -737,8 +808,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 		if rep > m.maxRep {
 			m.maxRep = rep
 		}
-		pipelined := li.Loop.Opt.Pipeline != cir.PipeOff
-		if li.Loop.Opt.Pipeline == cir.PipeFlatten {
+		pipelined := opt.Pipeline != cir.PipeOff
+		if opt.Pipeline == cir.PipeFlatten {
 			ops, _, ok := m.flattenOps(li)
 			if ok {
 				addOps(ops, rep, true)
@@ -760,7 +831,7 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 	for _, r := range m.info.Roots {
 		walk(r, 1)
 		if r.Loop.ID == m.kernel.TaskLoopID {
-			taskRep = maxInt(1, r.Loop.Opt.Parallel)
+			taskRep = maxInt(1, m.loopOpt(r).Parallel)
 		}
 	}
 
@@ -799,8 +870,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 	// staged per burst), which is the main effect of the Table 1 tiling
 	// factor on the generated designs.
 	burstTasks := 64
-	if tl := m.info.ByID[m.kernel.TaskLoopID]; tl != nil && tl.Loop.Opt.Tile > 1 {
-		burstTasks = tl.Loop.Opt.Tile
+	if tl := m.info.ByID[m.kernel.TaskLoopID]; tl != nil && m.loopOpt(tl).Tile > 1 {
+		burstTasks = m.loopOpt(tl).Tile
 		if burstTasks > 256 {
 			burstTasks = 256
 		}

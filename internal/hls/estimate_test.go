@@ -1,7 +1,9 @@
 package hls
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"s2fa/internal/apps"
@@ -231,4 +233,65 @@ func TestReportHelpers(t *testing.T) {
 	if s := rep.String(); !strings.Contains(s, "cycles=") {
 		t.Errorf("String = %q", s)
 	}
+}
+
+// TestAnalysisEstimateRejectsForeignKernel: pricing a kernel against
+// another kernel's analysis is a programmer error and must panic, not
+// return a report computed from the wrong loop nest.
+func TestAnalysisEstimateRejectsForeignKernel(t *testing.T) {
+	km := kernelOf(t, "KMeans")
+	an := Analyze(km)
+	renamed := cir.CloneKernel(km)
+	renamed.Loops()[1].ID = "L99"
+	cases := []struct {
+		name string
+		k    *cir.Kernel
+	}{{"other kernel", kernelOf(t, "S-W")}, {"renamed loop", renamed}}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "priced against the analysis of kernel") {
+					t.Errorf("%s: recovered %v, want the foreign-kernel panic", c.name, r)
+				}
+			}()
+			an.Estimate(c.k, fpga.VU9P(), 512, Options{})
+		}()
+	}
+}
+
+// TestAnalysisSharedAcrossGoroutines prices annotations from four
+// goroutines against one Analysis, the way the parallel DSE engine's
+// pool does; each report must equal the one-shot Estimate. Run under
+// -race it also proves pricing never writes to the shared analysis.
+func TestAnalysisSharedAcrossGoroutines(t *testing.T) {
+	k := kernelOf(t, "S-W")
+	sp := space.Identify(k)
+	dev := fpga.VU9P()
+	rng := rand.New(rand.NewSource(9))
+	var anns []*cir.Kernel
+	for len(anns) < 32 {
+		if ann, err := merlin.Annotate(k, sp.Directives(sp.RandomPoint(rng))); err == nil {
+			anns = append(anns, ann)
+		}
+	}
+	want := make([]Report, len(anns))
+	for i, ann := range anns {
+		want[i] = Estimate(ann, dev, 1024, Options{})
+	}
+	an := Analyze(k)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range anns {
+				j := (i + 7*g) % len(anns)
+				if got := an.Estimate(anns[j], dev, 1024, Options{}); got != want[j] {
+					t.Errorf("goroutine %d, annotation %d: shared %v, one-shot %v", g, j, got, want[j])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -52,7 +52,7 @@ type WidthModel struct {
 // device dev.
 func NewWidthModel(k *cir.Kernel, dev *fpga.Device) *WidthModel {
 	return &WidthModel{
-		m:      &model{kernel: k, acc: access.Analyze(k), dev: dev},
+		m:      &model{Analysis: &Analysis{kernel: k, acc: access.Analyze(k)}, dev: dev},
 		widths: portWidths(k),
 	}
 }

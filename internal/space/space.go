@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"s2fa/internal/cir"
@@ -143,16 +144,26 @@ func (pt Point) Clone() Point {
 	return out
 }
 
-// Key returns a canonical string identity for deduplication.
+// Key returns a canonical string identity for deduplication:
+// "name=value;" for every parameter, in name order. Every memo, tuner
+// database and guard lookup computes it, so it is built in one exactly
+// sized buffer.
 func (pt Point) Key() string {
 	keys := make([]string, 0, len(pt))
-	for k := range pt {
+	var num [20]byte
+	n := 0
+	for k, v := range pt {
 		keys = append(keys, k)
+		n += len(k) + len(strconv.AppendInt(num[:0], int64(v), 10)) + 2
 	}
 	sort.Strings(keys)
 	var b strings.Builder
+	b.Grow(n)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d;", k, pt[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(pt[k]), 10))
+		b.WriteByte(';')
 	}
 	return b.String()
 }

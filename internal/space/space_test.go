@@ -1,7 +1,10 @@
 package space
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +201,49 @@ func TestClamp(t *testing.T) {
 	par := s.Param("L1.parallel")
 	if par.Clamp(0) != 1 || par.Clamp(9999) != 127 || par.Clamp(50) != 50 {
 		t.Error("range clamp broken")
+	}
+}
+
+// fmtKey is the reference form of Point.Key: fmt-rendered
+// "name=value;" pairs in sorted name order.
+func fmtKey(pt Point) string {
+	keys := make([]string, 0, len(pt))
+	for k := range pt {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s=%d;", k, pt[k])
+	}
+	return b.String()
+}
+
+// TestKeyMatchesFmtForm pins Key byte for byte to the fmt form that
+// goldens, traces and recorded benchmark points were written in.
+func TestKeyMatchesFmtForm(t *testing.T) {
+	cases := []struct {
+		pt   Point
+		want string
+	}{
+		{Point{}, ""},
+		{nil, ""},
+		{Point{"a": 0}, "a=0;"},
+		{Point{"x": -7, "b": -1234567890}, "b=-1234567890;x=-7;"},
+		{Point{"L10.parallel": 64, "L1.parallel": 1, "in_1.bitwidth": 512, "L0.pipeline": 2},
+			"L0.pipeline=2;L1.parallel=1;L10.parallel=64;in_1.bitwidth=512;"},
+	}
+	for _, c := range cases {
+		if got := c.pt.Key(); got != c.want || got != fmtKey(c.pt) {
+			t.Errorf("Key(%v) = %q, want %q (fmt form %q)", map[string]int(c.pt), got, c.want, fmtKey(c.pt))
+		}
+	}
+	s := swSpace(t)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		pt := s.RandomPoint(rng)
+		if got, want := pt.Key(), fmtKey(pt); got != want {
+			t.Fatalf("Key = %q, fmt form %q", got, want)
+		}
 	}
 }
