@@ -17,7 +17,6 @@ import (
 	"s2fa/internal/blaze"
 	"s2fa/internal/ccache"
 	"s2fa/internal/cir"
-	"s2fa/internal/compile"
 	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/fpga"
@@ -159,47 +158,6 @@ func BenchmarkBytecodeToC(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontendScratch is BenchmarkFrontend with reused arena
-// buffers (compile.Scratch): the allocation delta between the two is
-// the frontend's per-kernel transient garbage.
-func BenchmarkFrontendScratch(b *testing.B) {
-	srcs := make([]string, 0, len(apps.All()))
-	for _, a := range apps.All() {
-		srcs = append(srcs, a.Source)
-	}
-	sc := compile.NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, src := range srcs {
-			if _, err := kdsl.CompileSourceScratch(src, sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkBytecodeToCScratch is BenchmarkBytecodeToC with reused
-// verifier/abstract-interpreter buffers.
-func BenchmarkBytecodeToCScratch(b *testing.B) {
-	var cls []*apps.App
-	for _, a := range apps.All() {
-		if _, err := a.Class(); err != nil {
-			b.Fatal(err)
-		}
-		cls = append(cls, a)
-	}
-	sc := compile.NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range cls {
-			c, _ := a.Class()
-			if _, err := b2c.CompileScratch(c, nil, sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkCompileCold measures the full source-to-kernel pipeline
 // (frontend + verify + absint + b2c) per kernel set, no caching.
 func BenchmarkCompileCold(b *testing.B) {
@@ -207,15 +165,14 @@ func BenchmarkCompileCold(b *testing.B) {
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}
-	sc := compile.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range srcs {
-			cls, err := kdsl.CompileSourceScratch(src, sc)
+			cls, err := kdsl.CompileSource(src)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := b2c.CompileScratch(cls, nil, sc); err != nil {
+			if _, err := b2c.Compile(cls); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -232,16 +189,15 @@ func BenchmarkCompileCached(b *testing.B) {
 		srcs = append(srcs, a.Source)
 	}
 	cache := ccache.New()
-	sc := compile.NewScratch()
 	for _, src := range srcs { // warm the cache
-		if _, _, err := cache.CompileSource(src, nil, sc); err != nil {
+		if _, _, err := cache.CompileSource(src, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range srcs {
-			if _, _, err := cache.CompileSource(src, nil, sc); err != nil {
+			if _, _, err := cache.CompileSource(src, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,7 +29,6 @@ import (
 	"s2fa/internal/apps"
 	"s2fa/internal/b2c"
 	"s2fa/internal/ccache"
-	"s2fa/internal/compile"
 	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/fpga"
@@ -335,14 +334,13 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 		}
 	})
 
-	sc := compile.NewScratch()
 	coldPass := func() {
 		for _, src := range srcs {
-			cls, err := kdsl.CompileSourceScratch(src, sc)
+			cls, err := kdsl.CompileSource(src)
 			if err != nil {
 				panic(err)
 			}
-			if _, err := b2c.CompileScratch(cls, nil, sc); err != nil {
+			if _, err := b2c.Compile(cls); err != nil {
 				panic(err)
 			}
 		}
@@ -350,7 +348,7 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 	cache := ccache.New()
 	cachedPass := func() {
 		for _, src := range srcs {
-			if _, _, err := cache.CompileSource(src, nil, sc); err != nil {
+			if _, _, err := cache.CompileSource(src, nil); err != nil {
 				panic(err)
 			}
 		}
@@ -436,15 +434,14 @@ func runCompileBench(n int) error {
 		srcs = append(srcs, a.Source)
 	}
 	kernels := float64(n * len(srcs))
-	sc := compile.NewScratch()
 
 	// Warm both paths once so lazy initialization is off the clock.
 	for _, src := range srcs {
-		cls, err := kdsl.CompileSourceScratch(src, sc)
+		cls, err := kdsl.CompileSource(src)
 		if err != nil {
 			return err
 		}
-		if _, err := b2c.CompileScratch(cls, nil, sc); err != nil {
+		if _, err := b2c.Compile(cls); err != nil {
 			return err
 		}
 	}
@@ -452,11 +449,11 @@ func runCompileBench(n int) error {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		for _, src := range srcs {
-			cls, err := kdsl.CompileSourceScratch(src, sc)
+			cls, err := kdsl.CompileSource(src)
 			if err != nil {
 				return err
 			}
-			if _, err := b2c.CompileScratch(cls, nil, sc); err != nil {
+			if _, err := b2c.Compile(cls); err != nil {
 				return err
 			}
 		}
@@ -465,14 +462,14 @@ func runCompileBench(n int) error {
 
 	cache := ccache.New()
 	for _, src := range srcs { // first pass populates the cache
-		if _, _, err := cache.CompileSource(src, nil, sc); err != nil {
+		if _, _, err := cache.CompileSource(src, nil); err != nil {
 			return err
 		}
 	}
 	start = time.Now()
 	for i := 0; i < n; i++ {
 		for _, src := range srcs {
-			if _, _, err := cache.CompileSource(src, nil, sc); err != nil {
+			if _, _, err := cache.CompileSource(src, nil); err != nil {
 				return err
 			}
 		}

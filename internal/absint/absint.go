@@ -272,12 +272,13 @@ func DiagnoseClass(c *bytecode.Class) (*ClassFacts, error) {
 	return analyzeClass(c)
 }
 
-func analyzeClass(c *bytecode.Class) (*ClassFacts, error) { return analyzeClassS(c, nil) }
+func analyzeClass(c *bytecode.Class) (*ClassFacts, error) {
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
+	return ws.analyzeClass(c)
+}
 
-func analyzeClassS(c *bytecode.Class, as *absintScratch) (*ClassFacts, error) {
-	if as == nil {
-		as = &absintScratch{}
-	}
+func (ws *workspace) analyzeClass(c *bytecode.Class) (*ClassFacts, error) {
 	cf := &ClassFacts{Class: c}
 
 	callIn := make([]Abstract, len(c.Call.Params))
@@ -285,7 +286,7 @@ func analyzeClassS(c *bytecode.Class, as *absintScratch) (*ClassFacts, error) {
 		callIn[i] = inputAbstract(p, c.InSizes)
 	}
 	var err error
-	cf.Call, err = analyzeMethodS(c.Call, c, callIn, true, as)
+	cf.Call, err = ws.analyzeMethod(c.Call, c, callIn, true)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +303,7 @@ func analyzeClassS(c *bytecode.Class, as *absintScratch) (*ClassFacts, error) {
 			}
 			// Reduce combines framework-owned intermediate values, so its
 			// argument writes are not caller-visible heap effects.
-			cf.Reduce, err = analyzeMethodS(c.Reduce, c, args, false, as)
+			cf.Reduce, err = ws.analyzeMethod(c.Reduce, c, args, false)
 			if err != nil {
 				return nil, err
 			}
@@ -326,7 +327,9 @@ func AnalyzeMethod(m *bytecode.Method) (*MethodFacts, error) {
 	for i, p := range m.Params {
 		in[i] = inputAbstract(p, nil)
 	}
-	return analyzeMethod(m, nil, in, true)
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
+	return ws.analyzeMethod(m, nil, in, true)
 }
 
 // inputAbstract builds the unconstrained abstraction of a parameter:

@@ -210,7 +210,7 @@ func TestViolationExternalCall(t *testing.T) {
 		{Op: bytecode.OpIntrin, Sym: "sin", A: 1, Kind: cir.Double},
 		{Op: bytecode.OpReturn},
 	})
-	facts, err := analyzeMethod(m, nil, nil, true)
+	facts, err := new(workspace).analyzeMethod(m, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestViolationDynamicAlloc(t *testing.T) {
 		ci(0),
 		{Op: bytecode.OpReturn},
 	}, bytecode.ArrayOf(cir.Int))
-	facts, err := analyzeMethod(m, nil, []Abstract{{Iv: kindRange(cir.Int)}}, true)
+	facts, err := new(workspace).analyzeMethod(m, nil, []Abstract{{Iv: kindRange(cir.Int)}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPurityHeapWriteAndEscape(t *testing.T) {
 	}
 	// The same shape analyzed as a reduce combiner (operand ownership)
 	// is pure.
-	rf, err := analyzeMethod(m, nil, []Abstract{{IsArray: true, Elems: kindRange(cir.Int), Len: Interval{0, 100}}}, false)
+	rf, err := new(workspace).analyzeMethod(m, nil, []Abstract{{IsArray: true, Elems: kindRange(cir.Int), Len: Interval{0, 100}}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 	// for the cached artifact.
 	if soakTaskSeed(seed, k.ID)&1 == 0 {
 		for pass := 0; pass < 2; pass++ {
-			ccls, e, err := soakCache.CompileSource(k.Source, nil, nil)
+			ccls, e, err := soakCache.CompileSource(k.Source, nil)
 			if err != nil {
 				return "ccache", err.Error()
 			}

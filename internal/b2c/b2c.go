@@ -7,7 +7,6 @@ import (
 	"s2fa/internal/absint"
 	"s2fa/internal/bytecode"
 	"s2fa/internal/cir"
-	"s2fa/internal/compile"
 	"s2fa/internal/lint"
 	"s2fa/internal/obs"
 )
@@ -26,17 +25,11 @@ func Compile(cls *bytecode.Class) (*cir.Kernel, error) {
 // counts), and the lint gate each get a span under the b2c compile span.
 // A nil trace is free.
 func CompileTraced(cls *bytecode.Class, tr *obs.Trace) (*cir.Kernel, error) {
-	return CompileScratch(cls, tr, nil)
-}
-
-// CompileScratch is CompileTraced with reusable verifier and analyzer
-// buffers drawn from sc. A nil sc behaves exactly like CompileTraced.
-func CompileScratch(cls *bytecode.Class, tr *obs.Trace, sc *compile.Scratch) (*cir.Kernel, error) {
 	outer := tr.Begin("b2c", "compile", obs.Str("class", cls.Name))
 	defer outer.End()
 
 	vs := tr.Begin("bytecode", "verify")
-	err := bytecode.VerifyClassScratch(cls, sc)
+	err := bytecode.VerifyClass(cls)
 	vs.End(obs.Bool("ok", err == nil))
 	if err != nil {
 		return nil, err
@@ -50,7 +43,7 @@ func CompileScratch(cls *bytecode.Class, tr *obs.Trace, sc *compile.Scratch) (*c
 	// The class just verified, so analysis cannot fail; a nil facts value
 	// simply disables the extra precision.
 	as := tr.Begin("absint", "analyze")
-	facts, err := absint.AnalyzeClassScratch(cls, sc)
+	facts, err := absint.AnalyzeClass(cls)
 	if err != nil {
 		facts = nil
 	}

@@ -9,23 +9,32 @@ package bytecode
 // (empty operand stack at every block boundary); the jvmsim template JIT
 // uses the same set as fusion barriers, so a superinstruction never
 // swallows an instruction some branch can land on.
-func Leaders(m *Method) []bool {
-	leaders := make([]bool, len(m.Code))
-	if len(leaders) > 0 {
-		leaders[0] = true
+func Leaders(m *Method) []bool { return leadersInto(m, nil) }
+
+// leadersInto is Leaders with a reusable buffer (resized and cleared, or
+// grown when too small).
+func leadersInto(m *Method, buf []bool) []bool {
+	if cap(buf) >= len(m.Code) {
+		buf = buf[:len(m.Code)]
+		clear(buf)
+	} else {
+		buf = make([]bool, len(m.Code))
+	}
+	if len(buf) > 0 {
+		buf[0] = true
 	}
 	for i, in := range m.Code {
 		switch in.Op {
 		case OpGoto, OpBrFalse, OpBrTrue:
 			if in.Target >= 0 && in.Target < len(m.Code) {
-				leaders[in.Target] = true
+				buf[in.Target] = true
 			}
 			if i+1 < len(m.Code) {
-				leaders[i+1] = true
+				buf[i+1] = true
 			}
 		}
 	}
-	return leaders
+	return buf
 }
 
 // StackEffect returns the net operand-stack depth change of executing

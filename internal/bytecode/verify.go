@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"s2fa/internal/cir"
+	"s2fa/internal/compile"
 )
 
 // Verify checks a method's bytecode for well-formedness:
@@ -30,9 +31,23 @@ func Verify(m *Method) error { return verify(m, true) }
 // sourced diagnostics.
 func VerifyStructural(m *Method) error { return verify(m, false) }
 
-func verify(m *Method, legality bool) error { return verifyS(m, legality, nil) }
+func verify(m *Method, legality bool) error {
+	v := verifiers.Get()
+	defer verifiers.Put(v)
+	return v.verify(m, legality)
+}
 
-func verifyS(m *Method, legality bool, vs *verifyScratch) error {
+// verifier holds the operand stack and leader bitmap; they grow once and
+// are reused by every method verified with the same verifier. verifiers
+// pools them across calls.
+type verifier struct {
+	stack   []TypeDesc
+	leaders []bool
+}
+
+var verifiers = compile.NewPool[verifier]()
+
+func (v *verifier) verify(m *Method, legality bool) error {
 	n := len(m.Code)
 	if n == 0 {
 		return fmt.Errorf("bytecode: %s: empty code", m.Name)
@@ -45,15 +60,9 @@ func verifyS(m *Method, legality bool, vs *verifyScratch) error {
 			}
 		}
 	}
-	var leaders []bool
-	var stack []TypeDesc
-	if vs != nil {
-		leaders = leadersInto(m, vs.leaders)
-		vs.leaders = leaders
-		stack = vs.stack[:0]
-	} else {
-		leaders = Leaders(m)
-	}
+	leaders := leadersInto(m, v.leaders)
+	v.leaders = leaders
+	stack := v.stack[:0]
 	push := func(t TypeDesc) { stack = append(stack, t) }
 	pop := func(at int) (TypeDesc, error) {
 		if len(stack) == 0 {
@@ -229,9 +238,7 @@ func verifyS(m *Method, legality bool, vs *verifyScratch) error {
 	if last.Op != OpReturn && last.Op != OpGoto {
 		return fmt.Errorf("bytecode: %s: code falls off the end", m.Name)
 	}
-	if vs != nil {
-		vs.stack = stack[:0]
-	}
+	v.stack = stack[:0]
 	return nil
 }
 
@@ -242,17 +249,17 @@ func VerifyClass(c *Class) error { return verifyClass(c, true) }
 // rules deferred (see VerifyStructural).
 func VerifyClassStructural(c *Class) error { return verifyClass(c, false) }
 
-func verifyClass(c *Class, legality bool) error { return verifyClassS(c, legality, nil) }
-
-func verifyClassS(c *Class, legality bool, vs *verifyScratch) error {
+func verifyClass(c *Class, legality bool) error {
 	if c.Call == nil {
 		return fmt.Errorf("bytecode: class %s has no call method", c.Name)
 	}
-	if err := verifyS(c.Call, legality, vs); err != nil {
+	v := verifiers.Get()
+	defer verifiers.Put(v)
+	if err := v.verify(c.Call, legality); err != nil {
 		return err
 	}
 	if c.Reduce != nil {
-		if err := verifyS(c.Reduce, legality, vs); err != nil {
+		if err := v.verify(c.Reduce, legality); err != nil {
 			return err
 		}
 	}

@@ -25,9 +25,7 @@
 // fingerprint are single-flighted: the first caller compiles, the rest
 // block on its result.
 //
-// The cache is safe for concurrent use. The compile.Scratch passed by a
-// caller is not — concurrent callers must pass distinct scratches (or
-// nil).
+// The cache is safe for concurrent use.
 package ccache
 
 import (
@@ -39,7 +37,6 @@ import (
 	"s2fa/internal/b2c"
 	"s2fa/internal/bytecode"
 	"s2fa/internal/cir"
-	"s2fa/internal/compile"
 	"s2fa/internal/depend"
 	"s2fa/internal/kdsl"
 	"s2fa/internal/lint"
@@ -155,7 +152,7 @@ func (c *Cache) EntryFor(k *cir.Kernel) *Entry {
 // and the analyses are served from the cache; on a miss the full
 // pipeline runs and the result is stored. tr receives ccache.* counters
 // and, on poisoning, a recorder-visible instant; both may be nil.
-func (c *Cache) CompileSource(src string, tr *obs.Trace, sc *compile.Scratch) (*bytecode.Class, *Entry, error) {
+func (c *Cache) CompileSource(src string, tr *obs.Trace) (*bytecode.Class, *Entry, error) {
 	key := sha256.Sum256([]byte(src))
 	c.mu.Lock()
 	memo, ok := c.source[key]
@@ -172,11 +169,11 @@ func (c *Cache) CompileSource(src string, tr *obs.Trace, sc *compile.Scratch) (*
 		return memo.cls, e, nil
 	}
 
-	cls, err := kdsl.CompileSourceScratch(src, sc)
+	cls, err := kdsl.CompileSource(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err = c.CompileClass(cls, tr, sc)
+	e, err = c.CompileClass(cls, tr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -188,8 +185,8 @@ func (c *Cache) CompileSource(src string, tr *obs.Trace, sc *compile.Scratch) (*
 
 // CompileClass compiles an already-assembled class through the semantic
 // layer of the cache (no source memo involved).
-func (c *Cache) CompileClass(cls *bytecode.Class, tr *obs.Trace, sc *compile.Scratch) (*Entry, error) {
-	facts, err := absint.AnalyzeClassScratch(cls, sc)
+func (c *Cache) CompileClass(cls *bytecode.Class, tr *obs.Trace) (*Entry, error) {
+	facts, err := absint.AnalyzeClass(cls)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"s2fa/internal/apps"
 	"s2fa/internal/b2c"
 	"s2fa/internal/cir"
-	"s2fa/internal/compile"
 	"s2fa/internal/depend"
 	"s2fa/internal/kdsl"
 	"s2fa/internal/lint"
@@ -23,7 +22,6 @@ import (
 // conclusions.
 func TestCachedMatchesFresh(t *testing.T) {
 	c := New()
-	sc := compile.NewScratch()
 	for _, app := range apps.All() {
 		cls, err := kdsl.CompileSource(app.Source)
 		if err != nil {
@@ -36,11 +34,11 @@ func TestCachedMatchesFresh(t *testing.T) {
 		freshC := cir.Print(fresh)
 		freshLint := lint.Lint(fresh)
 
-		_, miss, err := c.CompileSource(app.Source, nil, sc)
+		_, miss, err := c.CompileSource(app.Source, nil)
 		if err != nil {
 			t.Fatalf("%s: cached compile: %v", app.Name, err)
 		}
-		_, hit, err := c.CompileSource(app.Source, nil, sc)
+		_, hit, err := c.CompileSource(app.Source, nil)
 		if err != nil {
 			t.Fatalf("%s: cache hit: %v", app.Name, err)
 		}
@@ -88,11 +86,11 @@ func TestCachedMatchesFresh(t *testing.T) {
 func TestSemanticHit(t *testing.T) {
 	src := apps.All()[0].Source
 	c := New()
-	_, e1, err := c.CompileSource(src, nil, nil)
+	_, e1, err := c.CompileSource(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e2, err := c.CompileSource(src+"\n// trailing comment\n", nil, nil)
+	_, e2, err := c.CompileSource(src+"\n// trailing comment\n", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestPoisoningFallback(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	tr := obs.New(rec)
 	c := New()
-	_, e, err := c.CompileSource(src, tr, nil)
+	_, e, err := c.CompileSource(src, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestPoisoningFallback(t *testing.T) {
 	// the checksum taken at insertion.
 	e.Kernel.Name += "_corrupted"
 
-	_, e2, err := c.CompileSource(src, tr, nil)
+	_, e2, err := c.CompileSource(src, tr)
 	if err != nil {
 		t.Fatalf("poisoned hit did not fall back to a fresh compile: %v", err)
 	}
@@ -165,7 +163,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.CompileClass(cls, nil, nil)
+			e, err := c.CompileClass(cls, nil)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -194,11 +192,11 @@ func TestFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := New()
-		e, err := c.CompileClass(cls, nil, nil)
+		e, err := c.CompileClass(cls, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := New().CompileClass(cls, nil, nil)
+		e2, err := New().CompileClass(cls, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

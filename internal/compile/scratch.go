@@ -1,51 +1,12 @@
-// Package compile holds allocation infrastructure shared by the compile
-// pipeline's hot paths (kdsl parsing, bytecode verification, abstract
-// interpretation, and the bytecode-to-C compiler): a string interner, a
-// chunked slab allocator, and the Scratch that threads per-stage reusable
-// buffers through one pipeline invocation after another.
-//
-// The package is a leaf — it imports nothing from this module — so every
-// stage can depend on it without cycles. Each stage keeps its own typed
-// scratch struct in one of Scratch's opaque slots; compile only carries
-// them between calls.
-//
-// Scratch is the compiler-side analogue of jvmsim's frame arena: the
-// first compilation pays for its buffers, every later one on the same
-// Scratch reuses them. A Scratch is NOT safe for concurrent use; callers
-// that compile from several goroutines use one Scratch per goroutine (or
-// none — every entry point accepts nil and allocates freshly).
 package compile
 
-// Scratch carries reusable per-stage buffers across compilations. The
-// zero value is not useful; use NewScratch. All entry points that accept
-// a *Scratch also accept nil, which means "allocate freshly" and is
-// exactly the pre-Scratch behavior.
-type Scratch struct {
-	// Strings interns identifier and type spellings so repeated
-	// compilations of similar kernels share one copy of each name.
-	Strings *Interner
+// Scratch is an empty placeholder kept so code that still assigns
+// core.Framework.Scratch compiles. Every compile stage now pools its own
+// reusable state (see Pool).
+type Scratch struct{}
 
-	// Per-stage scratch state. Each slot is owned by the named package,
-	// which stores its private scratch struct here on first use. The
-	// slots are deliberately opaque (any): compile must stay a leaf
-	// package, so it cannot know the concrete types.
-	Kdsl   any // owned by internal/kdsl
-	Verify any // owned by internal/bytecode
-	Absint any // owned by internal/absint
-	B2C    any // owned by internal/b2c
-}
-
-// NewScratch returns an empty Scratch ready for reuse across
-// compilations.
-func NewScratch() *Scratch {
-	return &Scratch{Strings: NewInterner()}
-}
-
-// Intern interns s via the Scratch's interner, tolerating a nil receiver
-// (returns s unchanged).
-func (s *Scratch) Intern(b []byte) string {
-	if s == nil || s.Strings == nil {
-		return string(b)
-	}
-	return s.Strings.Intern(b)
-}
+// NewScratch returns an empty Scratch.
+//
+// Deprecated: compile stages pool their buffers internally; a Scratch
+// carries nothing and setting one has no effect.
+func NewScratch() *Scratch { return &Scratch{} }

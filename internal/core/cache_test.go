@@ -8,7 +8,6 @@ import (
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
 	"s2fa/internal/ccache"
-	"s2fa/internal/compile"
 	"s2fa/internal/dse"
 )
 
@@ -47,7 +46,6 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 
 	fw := New()
 	fw.Cache = ccache.New()
-	fw.Scratch = compile.NewScratch()
 	miss := build(fw)
 	hit := build(fw)
 

@@ -48,11 +48,10 @@ type Framework struct {
 	// emits. A nil Trace costs nothing; a live one never perturbs the
 	// search — traced and untraced runs are byte-identical.
 	Trace *obs.Trace
-	// Scratch, when set, supplies reusable compile-stage buffers (token
-	// and AST arenas, verifier stacks, abstract-interpreter states) so
-	// batch compilations stop re-allocating them per kernel. Results are
-	// byte-identical with or without it. Not safe for concurrent use —
-	// give each goroutine its own.
+	// Scratch is ignored.
+	//
+	// Deprecated: every compile stage pools its reusable buffers
+	// internally, for every caller; there is nothing to set.
 	Scratch *compile.Scratch
 	// Cache, when set, is the content-addressed compile cache: Compile
 	// serves repeated kernels from it (a hit skips the frontend and b2c
@@ -97,24 +96,23 @@ func (b *Build) BestHLSSource() string {
 
 // Compile runs only the front half: source -> bytecode -> HLS-C kernel.
 // With Cache set it goes through the compile cache (repeat sources skip
-// the whole pipeline); otherwise it compiles fresh, reusing Scratch
-// buffers when present.
+// the whole pipeline); otherwise it compiles fresh.
 func (f *Framework) Compile(src string) (*bytecode.Class, *cir.Kernel, error) {
 	if f.Cache != nil {
-		cls, e, err := f.Cache.CompileSource(src, f.Trace, f.Scratch)
+		cls, e, err := f.Cache.CompileSource(src, f.Trace)
 		if err != nil {
 			return nil, nil, err
 		}
 		return cls, e.Kernel, nil
 	}
 	span := f.Trace.Begin("kdsl", "compile", obs.Int("src_bytes", len(src)))
-	cls, err := kdsl.CompileSourceScratch(src, f.Scratch)
+	cls, err := kdsl.CompileSource(src)
 	if err != nil {
 		span.End(obs.Bool("ok", false))
 		return nil, nil, err
 	}
 	span.End(obs.Bool("ok", true), obs.Str("class", cls.Name))
-	k, err := b2c.CompileScratch(cls, f.Trace, f.Scratch)
+	k, err := b2c.CompileTraced(cls, f.Trace)
 	if err != nil {
 		return nil, nil, err
 	}

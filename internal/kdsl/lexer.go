@@ -18,17 +18,21 @@ type lexer struct {
 	pos  int // byte offset
 	line int
 	col  int // rune column
-	// intern, when set, canonicalizes identifier spellings so ASTs from
-	// repeated compilations share one copy of each name.
+	// intern canonicalizes identifier spellings so ASTs from repeated
+	// compilations share one copy of each name.
 	intern *compile.Interner
 }
 
 // Lex tokenizes the whole input, returning the token stream or the first
 // lexical error.
-func Lex(src string) ([]Token, error) { return lexTokens(src, nil, nil) }
+func Lex(src string) ([]Token, error) {
+	fe := frontends.Get()
+	defer frontends.Put(fe)
+	return lexTokens(src, nil, &fe.strings)
+}
 
 // lexTokens is Lex with a reusable token buffer (appended from length 0)
-// and an optional identifier interner.
+// and the interner identifier spellings go through.
 func lexTokens(src string, toks []Token, intern *compile.Interner) ([]Token, error) {
 	lx := lexer{src: src, line: 1, col: 1, intern: intern}
 	toks = toks[:0]
@@ -174,10 +178,7 @@ func (lx *lexer) next() (Token, error) {
 		if keywords[text] {
 			return Token{Kind: TokKeyword, Text: text, Pos: pos}, nil
 		}
-		if lx.intern != nil {
-			text = lx.intern.InternString(text)
-		}
-		return Token{Kind: TokIdent, Text: text, Pos: pos}, nil
+		return Token{Kind: TokIdent, Text: lx.intern.InternString(text), Pos: pos}, nil
 	case r >= '0' && r <= '9':
 		return lx.number(pos), nil
 	case unicode.IsDigit(r):

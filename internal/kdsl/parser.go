@@ -7,29 +7,20 @@ import (
 	"s2fa/internal/cir"
 )
 
-// Parse parses one kernel class definition from source text.
+// Parse parses one kernel class definition from source text. The AST
+// owns its node storage and stays valid for as long as the caller keeps
+// it.
 func Parse(src string) (*ClassDef, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	cls, err := p.classDef()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, errf(p.cur().Pos, "unexpected %q after class definition", p.cur().Text)
-	}
-	return cls, nil
+	fe := frontends.Get()
+	defer frontends.Put(fe)
+	return fe.parse(src, new(astSlabs))
 }
 
 type parser struct {
 	toks []Token
 	pos  int
-	// sc, when set, backs the hottest AST node types with slab arenas
-	// (see scratch.go); nil means plain heap allocation.
-	sc *kdslScratch
+	// nodes backs the hottest AST node types (see frontend.go).
+	nodes *astSlabs
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
