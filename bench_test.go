@@ -224,9 +224,10 @@ func BenchmarkHLSEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkHLSPrice measures pricing one annotation of the
-// Smith-Waterman kernel against its prebuilt analysis: the per-point
-// cost the DSE pays, with the per-kernel analyses off the clock.
+// BenchmarkHLSPrice measures pricing one design point of the
+// Smith-Waterman kernel the way the DSE does: its directives laid out
+// against the prebuilt analysis and priced, with the per-kernel analyses
+// off the clock and no annotated kernel built.
 func BenchmarkHLSPrice(b *testing.B) {
 	a := apps.Get("S-W")
 	k, err := a.Kernel()
@@ -235,15 +236,16 @@ func BenchmarkHLSPrice(b *testing.B) {
 	}
 	dev := fpga.VU9P()
 	sp := space.Identify(k)
-	ann, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed()))
-	if err != nil {
+	d := sp.Directives(sp.PerformanceSeed())
+	if err := merlin.Check(k, d); err != nil {
 		b.Fatal(err)
 	}
 	an := hls.Analyze(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		priceSink = an.Estimate(ann, dev, int64(a.Tasks), hls.Options{})
+		opts, widths := an.Directives(d)
+		priceSink = an.Price(opts, widths, dev, int64(a.Tasks), hls.Options{})
 	}
 }
 

@@ -26,6 +26,7 @@ var hotPaths = []string{
 	"internal/depend",
 	"internal/dse",
 	"internal/hls",
+	"internal/merlin",
 	"internal/obs",
 	"internal/tuner",
 }

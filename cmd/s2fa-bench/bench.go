@@ -381,14 +381,23 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 	}
 	dev := fpga.VU9P()
 	sp := space.Identify(k)
-	ann, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed()))
+	d := sp.Directives(sp.PerformanceSeed())
+	ann, err := merlin.Annotate(k, d)
 	if err != nil {
 		return nil, err
 	}
 	stage("space_identify", func() { space.Identify(k) })
 	stage("hls_estimate", func() { hls.Estimate(ann, dev, int64(a.Tasks), hls.Options{}) })
 	an := hls.Analyze(k)
-	stage("hls_price", func() { an.Estimate(ann, dev, int64(a.Tasks), hls.Options{}) })
+	stage("hls_price", func() {
+		opts, widths := an.Directives(d)
+		an.Price(opts, widths, dev, int64(a.Tasks), hls.Options{})
+	})
+	stage("merlin_check", func() {
+		if err := merlin.Check(k, d); err != nil {
+			panic(err)
+		}
+	})
 	stage("merlin_annotate", func() {
 		if _, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed())); err != nil {
 			panic(err)

@@ -11,22 +11,23 @@ import (
 )
 
 // NewEvaluator builds the design-point evaluator used throughout the DSE:
-// design point -> Merlin annotation -> HLS estimation. The objective is
-// estimated kernel execution seconds for a batch of n tasks (cycles over
-// achieved frequency). Results are memoized: re-evaluating a synthesized
+// design point -> Merlin directives (validated by merlin.Check) -> HLS
+// estimation of those directives. The objective is estimated kernel
+// execution seconds for a batch of n tasks (cycles over achieved
+// frequency). Results are memoized: re-evaluating a synthesized
 // configuration costs no additional synthesis time.
 func NewEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
 	return NewTracedEvaluator(k, sp, dev, n, opt, nil)
 }
 
 // NewPureEvaluator is the uncached design-point evaluator: every call
-// runs Merlin and prices the annotation, charging fresh synthesis
-// minutes. The kernel analyses the estimator reads are computed once,
-// here, and shared by every point (hls.Analyze). It is a pure function
-// of the point (given fixed kernel/space/device/options) and touches no
-// shared mutable state — the shared analysis is read-only — so the
-// concurrent engine's worker pool calls it from many goroutines at
-// once; memoization is layered on top by the engines (NewTracedEvaluator
+// validates the point's directives with Merlin and prices them, charging
+// fresh synthesis minutes. The kernel analyses the estimator reads are
+// computed once, here, and shared by every point (hls.Analyze). It is a
+// pure function of the point (given fixed kernel/space/device/options)
+// and touches no shared mutable state — the shared analysis is read-only
+// — so the concurrent engine's worker pool calls it from many goroutines
+// at once; memoization is layered on top by the engines (NewTracedEvaluator
 // for the sequential path, the replay evaluator for the parallel one).
 func NewPureEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
 	an := hls.Analyze(k)
@@ -37,14 +38,14 @@ func NewPureEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64,
 }
 
 // pureEval evaluates one point against the analysis an of k with no
-// cache and no tracing. The bool reports whether Merlin rejected the
-// point before estimation, which the traced wrappers surface in their
-// span args. Rejected results carry a nil Meta; estimated ones always
-// carry their hls.Report.
+// cache and no tracing: merlin.Check validates the point's directives
+// and an.Price estimates them directly, so no annotated kernel is built.
+// The bool reports whether Merlin rejected the point before estimation,
+// which the traced wrappers surface in their span args. Rejected results
+// carry a nil Meta; estimated ones always carry their hls.Report.
 func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
 	d := sp.Directives(pt)
-	ann, err := merlin.Annotate(k, d)
-	if err != nil {
+	if err := merlin.Check(k, d); err != nil {
 		return tuner.Result{
 			Point:     pt,
 			Objective: rejectPenalty,
@@ -52,7 +53,8 @@ func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device
 			Minutes:   1, // rejected before synthesis
 		}, true
 	}
-	rep := an.Estimate(ann, dev, n, opt)
+	opts, widths := an.Directives(d)
+	rep := an.Price(opts, widths, dev, n, opt)
 	obj := rep.Seconds()
 	if !rep.Feasible {
 		// Graded penalty: infeasible points are never accepted

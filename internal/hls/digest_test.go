@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,17 +32,10 @@ const digestRandomPoints = 100
 // plainReport strips Report's String method so %+v prints every field.
 type plainReport hls.Report
 
-// estimateDigest hashes the full report of every design point the
-// digest covers for one kernel: both seeds, seeded random points, and
-// each random point with pipeline=flatten forced on every non-task loop.
-// Points Merlin rejects hash their error instead. Every point is priced
-// against one analysis of the base kernel, the way the DSE prices it,
-// and must match the one-shot hls.Estimate of its annotation.
-func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string {
-	t.Helper()
-	dev := fpga.VU9P()
-	sp := space.Identify(k)
-	an := hls.Analyze(k)
+// digestPoints returns the design points the digest covers for one
+// kernel: both seeds, seeded random points, and each random point with
+// pipeline=flatten forced on every non-task loop.
+func digestPoints(k *cir.Kernel, sp *space.Space, seed int64) []space.Point {
 	pts := []space.Point{sp.PerformanceSeed(), sp.AreaSeed()}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < digestRandomPoints; i++ {
@@ -56,16 +52,35 @@ func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string
 		}
 		pts = append(pts, pt, flat)
 	}
+	return pts
+}
+
+// estimateDigest hashes the full report of every digest point of one
+// kernel; points Merlin rejects hash their error instead. Every point is
+// priced the way the DSE prices it — merlin.Check, then Analysis.Price
+// of its directives against one analysis of the base kernel — and must
+// match the one-shot hls.Estimate of its annotation, with Check
+// rejecting exactly the points Annotate rejects, for the same reason.
+func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string {
+	t.Helper()
+	dev := fpga.VU9P()
+	sp := space.Identify(k)
+	an := hls.Analyze(k)
 	h := sha256.New()
-	for _, pt := range pts {
-		ann, err := merlin.Annotate(k, sp.Directives(pt))
+	for _, pt := range digestPoints(k, sp, seed) {
+		d := sp.Directives(pt)
+		ann, err := merlin.Annotate(k, d)
+		if cerr := merlin.Check(k, d); (cerr == nil) != (err == nil) || merlin.LegalityClass(cerr) != merlin.LegalityClass(err) {
+			t.Errorf("%s %s: Check = %v, Annotate = %v", k.Name, pt.Key(), cerr, err)
+		}
 		if err != nil {
 			fmt.Fprintf(h, "%s: %v\n", pt.Key(), err)
 			continue
 		}
-		rep := an.Estimate(ann, dev, tasks, hls.Options{})
+		opts, widths := an.Directives(d)
+		rep := an.Price(opts, widths, dev, tasks, hls.Options{})
 		if once := hls.Estimate(ann, dev, tasks, hls.Options{}); rep != once {
-			t.Errorf("%s %s: shared-analysis report\n%+v\ndiffers from one-shot\n%+v",
+			t.Errorf("%s %s: priced report\n%+v\ndiffers from one-shot\n%+v",
 				k.Name, pt.Key(), plainReport(rep), plainReport(once))
 		}
 		fmt.Fprintf(h, "%s: %+v\n", pt.Key(), plainReport(rep))
@@ -73,17 +88,26 @@ func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// estimateDigestTable renders one digest line per kernel: every
-// workload, then a seeded sample of generated kernels.
-func estimateDigestTable(t *testing.T) string {
+// digestKernel is one kernel the digest and the pricing properties
+// cover, with its batch size and point seed.
+type digestKernel struct {
+	name  string
+	k     *cir.Kernel
+	tasks int64
+	seed  int64
+}
+
+// digestKernels returns every workload, then a seeded sample of
+// generated kernels.
+func digestKernels(t *testing.T) []digestKernel {
 	t.Helper()
-	var b strings.Builder
+	var out []digestKernel
 	for i, a := range apps.All() {
 		k, err := a.Kernel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "%-10s %s\n", a.Name, estimateDigest(t, k, int64(a.Tasks), int64(i+1)))
+		out = append(out, digestKernel{a.Name, k, int64(a.Tasks), int64(i + 1)})
 	}
 	for i, g := range kdslgen.Generate(12, 48) {
 		cls, err := kdsl.CompileSource(g.Source)
@@ -94,7 +118,17 @@ func estimateDigestTable(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		fmt.Fprintf(&b, "%-10s %s\n", g.Name, estimateDigest(t, k, 512, int64(100+i)))
+		out = append(out, digestKernel{g.Name, k, 512, int64(100 + i)})
+	}
+	return out
+}
+
+// estimateDigestTable renders one digest line per digest kernel.
+func estimateDigestTable(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, dk := range digestKernels(t) {
+		fmt.Fprintf(&b, "%-10s %s\n", dk.name, estimateDigest(t, dk.k, dk.tasks, dk.seed))
 	}
 	return b.String()
 }
@@ -120,5 +154,39 @@ func TestEstimateDigestGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("estimate digests drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
+	}
+}
+
+// TestPriceFiniteAndPure checks two cost-model properties on every
+// accepted digest point: every float field of the report is finite, and
+// Price is a pure function of its slices — pricing them twice gives the
+// identical report and leaves the slices as they were.
+func TestPriceFiniteAndPure(t *testing.T) {
+	dev := fpga.VU9P()
+	for _, dk := range digestKernels(t) {
+		sp := space.Identify(dk.k)
+		an := hls.Analyze(dk.k)
+		for _, pt := range digestPoints(dk.k, sp, dk.seed) {
+			d := sp.Directives(pt)
+			if merlin.Check(dk.k, d) != nil {
+				continue
+			}
+			opts, widths := an.Directives(d)
+			opts0, widths0 := slices.Clone(opts), slices.Clone(widths)
+			rep := an.Price(opts, widths, dev, dk.tasks, hls.Options{})
+			v := reflect.ValueOf(rep)
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Float64 && (math.IsNaN(f.Float()) || math.IsInf(f.Float(), 0)) {
+					t.Errorf("%s %s: %s = %v", dk.name, pt.Key(), v.Type().Field(i).Name, f.Float())
+				}
+			}
+			if again := an.Price(opts, widths, dev, dk.tasks, hls.Options{}); again != rep {
+				t.Errorf("%s %s: repriced report\n%+v\ndiffers from the first\n%+v",
+					dk.name, pt.Key(), plainReport(again), plainReport(rep))
+			}
+			if !slices.Equal(opts, opts0) || !slices.Equal(widths, widths0) {
+				t.Errorf("%s %s: Price wrote to its option or width slice", dk.name, pt.Key())
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"s2fa/internal/cir"
 	"s2fa/internal/depend"
 	"s2fa/internal/fpga"
+	"s2fa/internal/merlin"
 )
 
 // Options tunes one estimation run.
@@ -93,9 +94,9 @@ func (r Report) String() string {
 
 // Estimate performs high-level synthesis estimation for the annotated
 // kernel over a batch of n tasks on the given device. It analyzes k and
-// prices it in one go; a caller pricing many annotations of one kernel
-// analyzes it once with Analyze and prices each through
-// Analysis.Estimate, which yields the identical report.
+// prices it in one go; a caller pricing many design points of one kernel
+// analyzes it once with Analyze and prices each point's directives
+// through Analysis.Price, which yields the identical report.
 func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
 	return Analyze(k).Estimate(k, dev, n, opt)
 }
@@ -104,15 +105,15 @@ func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
 // dependence and access analyses of one kernel. None of them reads a
 // directive (merlin.Annotate only sets Loop.Opt and Param.BitWidth), so
 // the analyses of the base kernel hold for every annotation of it. An
-// Analysis is read-only once Analyze returns, so concurrent Estimate
-// calls may share it.
+// Analysis is read-only once Analyze returns, so concurrent Price and
+// Estimate calls may share it.
 type Analysis struct {
 	kernel *cir.Kernel
 	info   *cir.KernelInfo
 	dep    *depend.Analysis
 	acc    *access.Analysis
 	// pos maps each analyzed loop to its preorder index, which is where
-	// Estimate files the annotation's options for that loop.
+	// Price's opts slice holds that loop's options.
 	pos map[*cir.LoopInfo]int
 }
 
@@ -127,13 +128,50 @@ func Analyze(k *cir.Kernel) *Analysis {
 	return a
 }
 
+// Directives returns the loop options and interface widths that
+// annotating the analyzed kernel with d would set, in the layout Price
+// reads: opts indexed by the analyzed loops' preorder, widths by
+// parameter index. Loops and parameters d does not name keep the
+// analyzed kernel's own options and widths. d must pass merlin.Check
+// against the analyzed kernel.
+func (a *Analysis) Directives(d merlin.Directives) (opts []cir.LoopOpt, widths []int) {
+	opts = make([]cir.LoopOpt, len(a.info.All))
+	for i, li := range a.info.All {
+		opt, ok := d.Loops[li.Loop.ID]
+		if !ok {
+			opt = li.Loop.Opt
+		}
+		opts[i] = opt
+	}
+	widths = portWidths(a.kernel)
+	for i, p := range a.kernel.Params {
+		if bw, ok := d.BitWidths[p.Name]; ok && p.IsArray {
+			widths[i] = bw
+		}
+	}
+	return opts, widths
+}
+
+// Price estimates the analyzed kernel under the given loop options and
+// interface widths (laid out as Directives returns them) over a batch of
+// n tasks on the given device. It is the one pricing path: Estimate and
+// Analysis.Estimate read an annotated kernel's options into these slices
+// and call it. Price only reads the slices, so callers may reuse them.
+func (a *Analysis) Price(opts []cir.LoopOpt, widths []int, dev *fpga.Device, n int64, opt Options) Report {
+	if len(opts) != len(a.info.All) || len(widths) != len(a.kernel.Params) {
+		panic(fmt.Sprintf("hls: kernel %s priced with %d loop options and %d widths, want %d and %d",
+			a.kernel.Name, len(opts), len(widths), len(a.info.All), len(a.kernel.Params)))
+	}
+	m := &model{Analysis: a, dev: dev, n: n, opt: opt, opts: opts, widths: widths}
+	return m.run()
+}
+
 // Estimate prices ann, an annotation of the analyzed kernel, over a
 // batch of n tasks on the given device: the loop options and interface
 // widths come from ann, everything else from the analysis. It panics
 // when ann's loops or parameters are not the analyzed kernel's.
 func (a *Analysis) Estimate(ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
-	m := &model{Analysis: a, dev: dev, n: n, opt: opt, opts: a.loopOpts(ann), widths: portWidths(ann)}
-	return m.run()
+	return a.Price(a.loopOpts(ann), portWidths(ann), dev, n, opt)
 }
 
 // loopOpts returns ann's loop options indexed like the analyzed loops,
@@ -187,7 +225,7 @@ type model struct {
 	iiTag string
 }
 
-// loopOpt returns the directives the priced annotation sets on li.
+// loopOpt returns the directives the priced design sets on li.
 func (m *model) loopOpt(li *cir.LoopInfo) cir.LoopOpt {
 	return m.opts[m.pos[li]]
 }

@@ -260,26 +260,32 @@ func TestAnalysisEstimateRejectsForeignKernel(t *testing.T) {
 	}
 }
 
-// TestAnalysisSharedAcrossGoroutines prices annotations from four
+// TestAnalysisSharedAcrossGoroutines prices design points from four
 // goroutines against one Analysis, the way the parallel DSE engine's
-// pool does; each report must equal the one-shot Estimate. Run under
-// -race it also proves pricing never writes to the shared analysis.
+// pool does — both as annotations (Estimate) and as directive slices
+// (Price, the slices shared too); each report must equal the one-shot
+// Estimate. Run under -race it also proves pricing never writes to the
+// shared analysis or to the slices.
 func TestAnalysisSharedAcrossGoroutines(t *testing.T) {
 	k := kernelOf(t, "S-W")
 	sp := space.Identify(k)
 	dev := fpga.VU9P()
+	an := Analyze(k)
 	rng := rand.New(rand.NewSource(9))
 	var anns []*cir.Kernel
+	var opts [][]cir.LoopOpt
+	var widths [][]int
 	for len(anns) < 32 {
-		if ann, err := merlin.Annotate(k, sp.Directives(sp.RandomPoint(rng))); err == nil {
-			anns = append(anns, ann)
+		d := sp.Directives(sp.RandomPoint(rng))
+		if ann, err := merlin.Annotate(k, d); err == nil {
+			o, w := an.Directives(d)
+			anns, opts, widths = append(anns, ann), append(opts, o), append(widths, w)
 		}
 	}
 	want := make([]Report, len(anns))
 	for i, ann := range anns {
 		want[i] = Estimate(ann, dev, 1024, Options{})
 	}
-	an := Analyze(k)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -289,6 +295,9 @@ func TestAnalysisSharedAcrossGoroutines(t *testing.T) {
 				j := (i + 7*g) % len(anns)
 				if got := an.Estimate(anns[j], dev, 1024, Options{}); got != want[j] {
 					t.Errorf("goroutine %d, annotation %d: shared %v, one-shot %v", g, j, got, want[j])
+				}
+				if got := an.Price(opts[j], widths[j], dev, 1024, Options{}); got != want[j] {
+					t.Errorf("goroutine %d, point %d: priced %v, one-shot %v", g, j, got, want[j])
 				}
 			}
 		}(g)

@@ -14,11 +14,11 @@ import (
 
 // TestLintErrorsShadowDynamicRejection enforces the severity contract the
 // DSE pruner depends on: every design point the verifier rejects with an
-// error must also be rejected dynamically — merlin.Annotate fails, or HLS
-// estimation reports the point infeasible. If lint errors on a point the
-// toolchain would happily build, pruning would silently discard feasible
-// designs (a false positive), which is the one failure mode the verifier
-// must never have.
+// error must also be rejected dynamically — merlin.Check and Annotate
+// fail, or HLS estimation reports the point infeasible. If lint errors on
+// a point the toolchain would happily build, pruning would silently
+// discard feasible designs (a false positive), which is the one failure
+// mode the verifier must never have.
 //
 // Points are drawn per app: seeded random samples, plus a forced
 // pipeline=flatten variant per loop (flatten legality is the rule with
@@ -56,7 +56,9 @@ func TestLintErrorsShadowDynamicRejection(t *testing.T) {
 			// non-power-of-two bit-width. These never come from the DSE
 			// (the space clamps its domains) but the -lint CLI and manual
 			// directive files can produce them, and they must hit the
-			// same wall at annotation time.
+			// same wall at annotation time — and at the DSE's clone-free
+			// merlin.Check, which must reject exactly what Annotate does.
+			outOfDomain := len(pts)
 			for i := range sp.Params {
 				p := &sp.Params[i]
 				pt := sp.RandomPoint(rng)
@@ -72,8 +74,15 @@ func TestLintErrorsShadowDynamicRejection(t *testing.T) {
 			}
 
 			lintRejected, dynChecked := 0, 0
-			for _, pt := range pts {
+			for i, pt := range pts {
 				d := sp.Directives(pt)
+				if i >= outOfDomain {
+					_, aerr := merlin.Annotate(k, d)
+					cerr := merlin.Check(k, d)
+					if (cerr == nil) != (aerr == nil) || merlin.LegalityClass(cerr) != merlin.LegalityClass(aerr) {
+						t.Errorf("Check and Annotate disagree on out-of-domain point %v:\nCheck:    %v\nAnnotate: %v", pt, cerr, aerr)
+					}
+				}
 				fs := chk.Directives(d.Loops, d.BitWidths)
 				if !fs.HasErrors() {
 					continue

@@ -25,7 +25,7 @@ import (
 //	warn   parallel-race                   pass 3 result for the requested factors
 //
 // The error set is deliberately the exact static shadow of the dynamic
-// rejection paths (merlin.Annotate validation + the HLS estimator's
+// rejection paths (merlin.Check validation + the HLS estimator's
 // flatten infeasibility): the DSE may prune on errors without ever
 // discarding a design the pipeline would have accepted.
 func (c *Checker) Directives(loops map[string]cir.LoopOpt, bws map[string]int) Findings {

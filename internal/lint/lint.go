@@ -18,7 +18,7 @@
 // Findings carry a rule ID, a severity, and a location. Severities follow
 // a strict contract that the cross-check tests enforce: an Error is
 // raised only for configurations the downstream pipeline provably rejects
-// too (merlin.Annotate error or an HLS-infeasible verdict), so pruning on
+// too (merlin.Check error or an HLS-infeasible verdict), so pruning on
 // lint errors can never discard a feasible design. Everything that merely
 // degrades quality — a carried dependence that serializes the requested
 // parallel lanes, a bit-width below the element's value range — is a

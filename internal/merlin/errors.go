@@ -34,13 +34,20 @@ var (
 // IsLegality reports whether err is one of the typed legality rejections
 // (as opposed to an internal transformation bug).
 func IsLegality(err error) bool {
+	return LegalityClass(err) != nil
+}
+
+// LegalityClass returns the typed legality sentinel err wraps, or nil
+// when err is not a legality rejection. Two rejections of the same class
+// answer errors.Is alike for every sentinel.
+func LegalityClass(err error) error {
 	for _, e := range []error{
 		ErrUnknownLoop, ErrUnknownParam, ErrIllegalFactor,
 		ErrNonConstantTrip, ErrCarriedDependence, ErrIllegalBitWidth,
 	} {
 		if errors.Is(err, e) {
-			return true
+			return e
 		}
 	}
-	return false
+	return nil
 }

@@ -9,8 +9,11 @@
 //
 //   - Annotate: attaches the directive to the IR (cir.LoopOpt / Param
 //     .BitWidth). The HLS estimator interprets annotations analytically,
-//     exactly like a pragma-driven flow. This is what the DSE uses, since
-//     it evaluates thousands of design points.
+//     exactly like a pragma-driven flow. The DSE, which evaluates
+//     thousands of design points, runs only Annotate's validation
+//     (Check) per point and hands the directives straight to the
+//     estimator (hls.Analysis.Price); it annotates a kernel only for the
+//     design it reports.
 //   - Materialize: structurally rewrites the AST (real tiling, real
 //     unrolling with remainder guards, real flattening, real tree
 //     reduction). Materialized kernels execute on the cir evaluator, which
@@ -37,42 +40,86 @@ type Directives struct {
 // Clone deep-copies the directive set.
 func (d Directives) Clone() Directives {
 	out := Directives{Loops: map[string]cir.LoopOpt{}, BitWidths: map[string]int{}}
+	//determinism:allow order-independent: copies each entry into a map, so the copy is the same in any order
 	for k, v := range d.Loops {
 		out.Loops[k] = v
 	}
+	//determinism:allow order-independent: copies each entry into a map, so the copy is the same in any order
 	for k, v := range d.BitWidths {
 		out.BitWidths[k] = v
 	}
 	return out
 }
 
-// Annotate returns a clone of k with the directives attached as pragmas.
-// Unknown loop IDs or parameters are reported as errors: the design space
-// and the kernel must agree.
-func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
-	out := cir.CloneKernel(k)
-	for id, opt := range d.Loops {
-		l := out.FindLoop(id)
-		if l == nil {
-			return nil, fmt.Errorf("merlin: directive for unknown loop %q: %w", id, ErrUnknownLoop)
+// Check validates d against k exactly as Annotate does, without copying
+// anything: it is the DSE's per-point legality test, whose estimator
+// prices the directives themselves (hls.Analysis.Price). Unknown loop IDs
+// or parameters are reported as errors: the design space and the kernel
+// must agree. Checks run in a fixed order — k's loops in preorder, then
+// any unknown loop ID, then k's parameters in declaration order, then any
+// unknown parameter — so a set with several errors always reports the
+// same one. CheckDirectives is the static verifier's view of the same
+// set, which also rejects what HLS would find infeasible.
+func Check(k *cir.Kernel, d Directives) error {
+	known := 0
+	for _, l := range k.Loops() {
+		opt, ok := d.Loops[l.ID]
+		if !ok {
+			continue
 		}
+		known++
 		if err := validateOpt(l, opt); err != nil {
-			return nil, err
+			return err
 		}
-		l.Opt = opt
 	}
-	for name, bw := range d.BitWidths {
-		p := out.Param(name)
-		if p == nil {
-			return nil, fmt.Errorf("merlin: bit-width directive for unknown parameter %q: %w", name, ErrUnknownParam)
+	if known < len(d.Loops) {
+		for _, id := range sortedKeys(d.Loops) {
+			if k.FindLoop(id) == nil {
+				return fmt.Errorf("merlin: directive for unknown loop %q: %w", id, ErrUnknownLoop)
+			}
 		}
+	}
+	known = 0
+	for i := range k.Params {
+		p := &k.Params[i]
+		bw, ok := d.BitWidths[p.Name]
+		if !ok {
+			continue
+		}
+		known++
 		if !p.IsArray {
-			return nil, fmt.Errorf("merlin: bit-width directive on scalar parameter %q: %w", name, ErrIllegalBitWidth)
+			return fmt.Errorf("merlin: bit-width directive on scalar parameter %q: %w", p.Name, ErrIllegalBitWidth)
 		}
 		if err := validateBitWidth(bw); err != nil {
-			return nil, fmt.Errorf("merlin: parameter %q: %w", name, err)
+			return fmt.Errorf("merlin: parameter %q: %w", p.Name, err)
 		}
-		p.BitWidth = bw
+	}
+	if known < len(d.BitWidths) {
+		for _, name := range sortedKeys(d.BitWidths) {
+			if k.Param(name) == nil {
+				return fmt.Errorf("merlin: bit-width directive for unknown parameter %q: %w", name, ErrUnknownParam)
+			}
+		}
+	}
+	return nil
+}
+
+// Annotate returns a clone of k with the directives attached as pragmas,
+// rejecting d exactly when Check does.
+func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
+	if err := Check(k, d); err != nil {
+		return nil, err
+	}
+	out := cir.CloneKernel(k)
+	for _, l := range out.Loops() {
+		if opt, ok := d.Loops[l.ID]; ok {
+			l.Opt = opt
+		}
+	}
+	for i := range out.Params {
+		if bw, ok := d.BitWidths[out.Params[i].Name]; ok {
+			out.Params[i].BitWidth = bw
+		}
 	}
 	return out, nil
 }
@@ -198,9 +245,10 @@ func replaceLoop(k *cir.Kernel, id string, repl []cir.Stmt) bool {
 	return ok
 }
 
-// sortedKeys returns map keys in deterministic order (test stability).
+// sortedKeys returns map keys in deterministic order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
+	//determinism:allow order-independent: the keys are sorted before they are returned
 	for k := range m {
 		out = append(out, k)
 	}

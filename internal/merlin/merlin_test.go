@@ -1,6 +1,7 @@
 package merlin_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,5 +233,60 @@ func TestAnnotateValidation(t *testing.T) {
 		Loops: map[string]cir.LoopOpt{innerID: {Parallel: 100000}},
 	}); err == nil {
 		t.Error("oversized parallel factor accepted")
+	}
+}
+
+// TestCheckRejectsDeterministically feeds directive sets with several
+// errors each. Check (and Annotate, which runs it) must report the same
+// error on every call — the first in loop preorder, then unknown loops,
+// then parameters in declaration order, then unknown parameters — rather
+// than whichever error map iteration happens to reach first.
+func TestCheckRejectsDeterministically(t *testing.T) {
+	a := apps.Get("KMeans")
+	k, err := a.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var innerID string
+	for _, l := range k.Loops() {
+		if l.ID != k.TaskLoopID && l.TripCount() > 0 {
+			innerID = l.ID
+			break
+		}
+	}
+	cases := []struct {
+		name string
+		d    merlin.Directives
+		want error
+	}{
+		{"factor before unknown loop and widths", merlin.Directives{
+			Loops:     map[string]cir.LoopOpt{"no-such-loop": {}, innerID: {Parallel: 100000}, "zz-loop": {}},
+			BitWidths: map[string]int{"in": 100, "no-such-param": 64},
+		}, merlin.ErrIllegalFactor},
+		{"unknown loop before widths", merlin.Directives{
+			Loops:     map[string]cir.LoopOpt{"no-such-loop": {}, innerID: {Parallel: 2}, "zz-loop": {}},
+			BitWidths: map[string]int{"in": 100, "no-such-param": 64},
+		}, merlin.ErrUnknownLoop},
+		{"illegal width before unknown parameter", merlin.Directives{
+			BitWidths: map[string]int{"in": 100, "no-such-param": 64, "zz-param": 64},
+		}, merlin.ErrIllegalBitWidth},
+		{"unknown parameters", merlin.Directives{
+			BitWidths: map[string]int{"in": 64, "no-such-param": 64, "zz-param": 64},
+		}, merlin.ErrUnknownParam},
+	}
+	for _, c := range cases {
+		first := merlin.Check(k, c.d)
+		if !errors.Is(first, c.want) {
+			t.Errorf("%s: Check = %v, want %v", c.name, first, c.want)
+			continue
+		}
+		for i := 0; i < 100; i++ {
+			if err := merlin.Check(k, c.d); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%s: call %d: Check = %v, first call %v", c.name, i, err, first)
+			}
+			if _, err := merlin.Annotate(k, c.d); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%s: call %d: Annotate = %v, Check %v", c.name, i, err, first)
+			}
+		}
 	}
 }
