@@ -253,6 +253,28 @@ func BenchmarkHLSPrice(b *testing.B) {
 // drop the priced call.
 var priceSink hls.Report
 
+// BenchmarkPointIdentity measures what every DSE table pays to identify
+// a design point it has seen before: the Smith-Waterman performance
+// seed looked up in a point table that already holds it.
+func BenchmarkPointIdentity(b *testing.B) {
+	k, err := apps.Get("S-W").Kernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := space.Identify(k)
+	pt := sp.PerformanceSeed()
+	points := space.NewTable(sp)
+	points.ID(pt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idSink = points.ID(pt)
+	}
+}
+
+// idSink keeps BenchmarkPointIdentity's lookups live.
+var idSink space.ID
+
 // BenchmarkMerlinMaterialize measures structural transformation (tile +
 // unroll with tree reduction) of the LR kernel.
 func BenchmarkMerlinMaterialize(b *testing.B) {

@@ -28,6 +28,7 @@ var hotPaths = []string{
 	"internal/hls",
 	"internal/merlin",
 	"internal/obs",
+	"internal/space",
 	"internal/tuner",
 }
 

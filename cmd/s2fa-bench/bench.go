@@ -403,6 +403,15 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 			panic(err)
 		}
 	})
+	// A DSE table's lookup of a point it already holds, against the
+	// display Key() every table built before point identities existed.
+	// Both ops are sub-microsecond to a few microseconds, so the
+	// per-iteration clock reads of timeItDist are part of the figure.
+	seedPt := sp.PerformanceSeed()
+	points := space.NewTable(sp)
+	points.ID(seedPt)
+	stage("point_identity", func() { points.ID(seedPt) })
+	stage("point_key", func() { _ = seedPt.Key() })
 	return rep, nil
 }
 

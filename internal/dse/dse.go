@@ -245,7 +245,8 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	}
 
 	out := newOutcome(k)
-	eval = guardEvaluator(k, sp, eval, cfg, out)
+	points := space.NewTable(sp)
+	eval = guardEvaluator(k, sp, points, eval, cfg, out)
 	var parts []Partition
 	if cfg.Partition != nil {
 		parts = BuildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed)
@@ -254,7 +255,7 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	}
 	out.Partitions = parts
 
-	sched := newScheduler(cfg, sp, parts, eval, out)
+	sched := newScheduler(cfg, sp, points, parts, eval, out)
 	sched.run()
 	return finishOutcome(out, sched)
 }
@@ -299,7 +300,10 @@ type worker struct {
 type scheduler struct {
 	cfg Config
 	// sp is the full space; a worker searches its partition's sub-box.
-	sp       *space.Space
+	sp *space.Space
+	// points is the run's point table: every driver, the prune guard
+	// and the parallel engine's cache identify points in it.
+	points   *space.Table
 	parts    []Partition
 	eval     tuner.Evaluator
 	out      *Outcome
@@ -318,12 +322,12 @@ type scheduler struct {
 	onAssign func(w *worker)
 }
 
-func newScheduler(cfg Config, sp *space.Space, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
-	return newSchedulerHooked(cfg, sp, parts, eval, out, nil)
+func newScheduler(cfg Config, sp *space.Space, points *space.Table, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
+	return newSchedulerHooked(cfg, sp, points, parts, eval, out, nil)
 }
 
-func newSchedulerHooked(cfg Config, sp *space.Space, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
-	s := &scheduler{cfg: cfg, sp: sp, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
+func newSchedulerHooked(cfg Config, sp *space.Space, points *space.Table, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
+	s := &scheduler{cfg: cfg, sp: sp, points: points, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
 	s.start()
 	return s
 }
@@ -352,7 +356,7 @@ func (s *scheduler) assign(w *worker) {
 	p := s.parts[idx]
 	sub := p.Space(s.sp)
 	w.part = idx
-	w.driver = tuner.NewDriver(sub, s.eval, s.cfg.Seed*7919+int64(idx)*104729+1)
+	w.driver = tuner.NewDriver(sub, s.points, s.eval, s.cfg.Seed*7919+int64(idx)*104729+1)
 	w.driver.Trace = s.cfg.Trace
 	w.driver.TID = w.id + 1
 	w.stopper = s.cfg.Stopper.Clone()

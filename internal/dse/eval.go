@@ -80,17 +80,18 @@ func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device
 // and costs — exactly like NewEvaluator. The memo table is the sharded
 // hls.Cache, so the evaluator is safe for concurrent callers; with a
 // single caller its hit/miss sequence is identical to the old plain-map
-// implementation.
+// implementation. The memo keys on each point's identity in a point
+// table over sp, so sp's Restrict sub-boxes share it.
 func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
 	an := hls.Analyze(k)
-	cache := hls.NewCache[tuner.Result](hls.DefaultCacheShards)
+	points := space.NewTable(sp)
+	cache := hls.NewCache[space.ID, tuner.Result](hls.DefaultCacheShards)
 	return func(pt space.Point) tuner.Result {
-		key := pt.Key()
-		r, cached := cache.GetOrCompute(key, func() tuner.Result {
+		r, cached := cache.GetOrCompute(points.ID(pt), func() tuner.Result {
 			var span *obs.Span
 			if tr != nil {
 				span = tr.Begin("hls", "estimate",
-					obs.Str("point", key), obs.Str("cache", "fresh"))
+					obs.Str("point", pt.Key()), obs.Str("cache", "fresh"))
 				tr.Count("hls.estimations", 1)
 			}
 			res, rejected := pureEval(an, k, sp, dev, n, opt, pt)
@@ -103,7 +104,7 @@ func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int6
 			r.Minutes = 0 // cached HLS report, no synthesis re-run
 			if tr != nil {
 				hit := tr.Begin("hls", "estimate",
-					obs.Str("point", key), obs.Str("cache", "hit"))
+					obs.Str("point", pt.Key()), obs.Str("cache", "hit"))
 				hit.End(obs.F64("synth_min", 0), obs.Bool("feasible", r.Feasible))
 				tr.Count("hls.cache_hits", 1)
 			}

@@ -27,8 +27,10 @@ import (
 //     would have produced, so the search trajectory is unchanged and
 //     only real estimator invocations drop.
 //
-// Reject rules run first, on every call. Each collapse rule keys its
-// classes on the raw point; the first rule whose class already holds a
+// Reject rules run first, on every call. Each collapse rule maps a
+// point's ID in the run's point table to the ID of its class
+// representative (the point's own ID when the rule leaves it alone), and
+// keeps one result per class ID; the first rule whose class already holds a
 // result serves it with Point set to the evaluated point. A first-seen
 // point charges the result's synthesis minutes and counts towards the
 // serving rule; an exact repeat is a memoized report and costs nothing.
@@ -60,14 +62,14 @@ type rule struct {
 // analyses would drop (the space itself is left intact: shrinking it
 // would change the partitions and so the whole search). Both engines
 // assemble their evaluator chain here, so every prune decision is
-// identical between them.
-func guardEvaluator(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
+// identical between them. points is the run's point table.
+func guardEvaluator(k *cir.Kernel, sp *space.Space, points *space.Table, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
 	if !cfg.Prune {
 		return eval
 	}
 	_, out.PrunedDomainValues = space.PruneStatic(sp, k)
 	_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
-	return newGuard(pruneRules(k, sp, cfg), eval, out, cfg.Trace)
+	return newGuard(pruneRules(k, sp, cfg), eval, points, out, cfg.Trace)
 }
 
 // pruneRules is the production rule table: the lint legality check, then
@@ -96,10 +98,11 @@ func (c Config) device() *fpga.Device {
 	return fpga.VU9P()
 }
 
-// newGuard returns inner behind the rule table, counting each rule's
-// actions into out and tracing them to tr (nil: untraced). It is safe
-// for concurrent callers.
-func newGuard(rules []rule, inner tuner.Evaluator, out *Outcome, tr *obs.Trace) tuner.Evaluator {
+// newGuard returns inner behind the rule table, identifying points and
+// their class representatives in points, counting each rule's actions
+// into out and tracing them to tr (nil: untraced). It is safe for
+// concurrent callers.
+func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Outcome, tr *obs.Trace) tuner.Evaluator {
 	var rejects, collapses []rule
 	for _, r := range rules {
 		if r.reject != nil {
@@ -111,13 +114,12 @@ func newGuard(rules []rule, inner tuner.Evaluator, out *Outcome, tr *obs.Trace) 
 	// mu covers classes, seen, and the counters on out; the rules
 	// themselves are read-only after construction.
 	var mu sync.Mutex
-	classes := make([]map[string]tuner.Result, len(collapses))
+	classes := make([]map[space.ID]tuner.Result, len(collapses))
 	for i := range classes {
-		classes[i] = map[string]tuner.Result{}
+		classes[i] = map[space.ID]tuner.Result{}
 	}
-	seen := map[string]bool{}
+	var seen space.IDSet
 	return func(pt space.Point) tuner.Result {
-		key := pt.Key()
 		for _, r := range rejects {
 			if !r.reject(pt) {
 				continue
@@ -126,45 +128,57 @@ func newGuard(rules []rule, inner tuner.Evaluator, out *Outcome, tr *obs.Trace) 
 			*r.tally(out)++
 			mu.Unlock()
 			if tr != nil {
-				tr.Event("dse", r.event, obs.Str("point", key))
+				tr.Event("dse", r.event, obs.Str("point", pt.Key()))
 				tr.Count(r.counter, 1)
 			}
 			return tuner.Result{Point: pt, Objective: rejectPenalty, Minutes: pruneMinutes}
 		}
-		classKeys := make([]string, len(collapses))
+		id := points.ID(pt)
+		// class[i] is pt's class under collapse rule i. The production
+		// table has three collapse rules, so the array keeps the slice
+		// off the heap.
+		var classBuf [4]space.ID
+		class := classBuf[:0]
 		mu.Lock()
 		for i, r := range collapses {
-			classKeys[i] = key
-			if c := r.canon(pt); c != nil {
-				classKeys[i] = c.Key()
+			c := r.canon(pt)
+			cid := id
+			if c != nil {
+				cid = points.ID(c)
 			}
-			res, ok := classes[i][classKeys[i]]
+			class = append(class, cid)
+			res, ok := classes[i][cid]
 			if !ok {
 				continue
 			}
 			res.Point = pt
-			if seen[key] {
+			if seen.Has(id) {
 				res.Minutes = 0
 			} else {
-				seen[key] = true
+				seen.Add(id)
 				*r.tally(out)++
 				if tr != nil {
-					tr.Event("dse", r.event, obs.Str("point", key), obs.Str("canonical", classKeys[i]))
+					key := pt.Key()
+					canonical := key
+					if c != nil {
+						canonical = c.Key()
+					}
+					tr.Event("dse", r.event, obs.Str("point", key), obs.Str("canonical", canonical))
 					tr.Count(r.counter, 1)
 				}
 			}
 			for j := 0; j < i; j++ {
-				classes[j][classKeys[j]] = res
+				classes[j][class[j]] = res
 			}
 			mu.Unlock()
 			return res
 		}
-		seen[key] = true
+		seen.Add(id)
 		mu.Unlock()
 		res := inner(pt)
 		mu.Lock()
-		for i := range collapses {
-			classes[i][classKeys[i]] = res
+		for i, cid := range class {
+			classes[i][cid] = res
 		}
 		mu.Unlock()
 		return res

@@ -109,7 +109,7 @@ func TestGuardRules(t *testing.T) {
 				return tuner.Result{Point: pt, Objective: 1, Feasible: true, Minutes: 5}
 			}
 			out := &Outcome{}
-			eval := newGuard([]rule{tc.rule}, inner, out, nil)
+			eval := newGuard([]rule{tc.rule}, inner, space.NewTable(sp), out, nil)
 			reject := tc.rule.reject != nil
 
 			if r := eval(tc.first); innerCalls != 1 || tc.count(out) != 0 || r.Minutes != 5 {
@@ -172,7 +172,7 @@ func TestGuardConcurrentCallers(t *testing.T) {
 		want[i] = pure(pt)
 	}
 	out := &Outcome{}
-	guard := newGuard(pruneRules(k, sp, S2FAConfig(1)), pure, out, nil)
+	guard := newGuard(pruneRules(k, sp, S2FAConfig(1)), pure, space.NewTable(sp), out, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -246,7 +246,7 @@ func runWithout(t *testing.T, a *apps.App, seed int64, skip string) *Outcome {
 		}
 	}
 	tally := &Outcome{}
-	eval := newGuard(rules, NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{}), tally, nil)
+	eval := newGuard(rules, NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{}), space.NewTable(sp), tally, nil)
 	cfg.Prune = false
 	o := Run(k, sp, eval, cfg)
 	o.StaticallyPruned, o.DependPruned = tally.StaticallyPruned, tally.DependPruned
@@ -405,5 +405,57 @@ func TestSummaryReportsPruneCounters(t *testing.T) {
 	o.StaticallyPruned, o.PrunedDomainValues = 7, 2
 	if s := o.Summary(); !strings.Contains(s, "statically-pruned=7(+2 domain values)") {
 		t.Errorf("summary missing prune counters: %s", s)
+	}
+}
+
+// TestGuardCanonicalIdentity extends the point-identity contract
+// (space.TestIdentityMatchesKey) to the guard's class representatives:
+// over every workload and the generated kernels, raw points and every
+// collapse rule's canonical points get the same table ID exactly when
+// their Keys are equal. Each collapse rule must produce some canonical
+// point, so the check covers all three.
+func TestGuardCanonicalIdentity(t *testing.T) {
+	fired := map[string]int{}
+	for _, gk := range oracleKernels(t) {
+		sp := space.Identify(gk.k)
+		rules := pruneRules(gk.k, sp, S2FAConfig(1))
+		rng := rand.New(rand.NewSource(3))
+		raw := []space.Point{sp.PerformanceSeed(), sp.AreaSeed()}
+		for i := 0; i < 60; i++ {
+			pt := sp.RandomPoint(rng)
+			// An untiled task loop opens the width rule.
+			raw = append(raw, pt, withPoint(pt, map[string]int{gk.k.TaskLoopID + ".tile": 1}))
+		}
+		var pts []space.Point
+		for _, pt := range raw {
+			pts = append(pts, pt)
+			for _, r := range rules {
+				if r.canon == nil {
+					continue
+				}
+				if c := r.canon(pt); c != nil {
+					pts = append(pts, c)
+					fired[r.name]++
+				}
+			}
+		}
+		tab := space.NewTable(sp)
+		byKey := map[string]space.ID{}
+		byID := map[space.ID]string{}
+		for _, pt := range pts {
+			key, id := pt.Key(), tab.ID(pt)
+			if prev, ok := byKey[key]; ok && prev != id {
+				t.Fatalf("%s: point %s has two IDs", gk.name, key)
+			}
+			if prev, ok := byID[id]; ok && prev != key {
+				t.Fatalf("%s: points %s and %s share ID %d", gk.name, prev, key, id)
+			}
+			byKey[key], byID[id] = id, key
+		}
+	}
+	for _, name := range []string{"depend", "access", "range"} {
+		if fired[name] == 0 {
+			t.Errorf("collapse rule %s produced no canonical point", name)
+		}
 	}
 }

@@ -46,7 +46,7 @@ import (
 //
 // Freshness replay is what keeps Minutes accounting byte-identical: the
 // sequential memo charges synthesis minutes on first evaluation of a
-// key and zero after. The merge goroutine keeps its own replay-order
+// point and zero after. The merge goroutine keeps its own replay-order
 // `seen` set and assigns fresh-vs-cached Minutes from THAT order, so it
 // does not matter which goroutine actually computed the value or when.
 //
@@ -67,9 +67,10 @@ func (c Config) poolSize() int {
 
 func runParallel(k *cir.Kernel, sp *space.Space, pure tuner.Evaluator, cfg Config) *Outcome {
 	out := newOutcome(k)
-	pool := newEvalPool(cfg.poolSize(), k.Name, pure)
+	points := space.NewTable(sp)
+	pool := newEvalPool(cfg.poolSize(), k.Name, pure, points)
 	defer pool.close(cfg.Trace)
-	eval := guardEvaluator(k, sp, pool.replayEvaluator(cfg.Trace), cfg, out)
+	eval := guardEvaluator(k, sp, points, pool.replayEvaluator(cfg.Trace), cfg, out)
 	var parts []Partition
 	if cfg.Partition != nil {
 		parts = buildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed, pool.prefetch)
@@ -79,7 +80,7 @@ func runParallel(k *cir.Kernel, sp *space.Space, pure tuner.Evaluator, cfg Confi
 	out.Partitions = parts
 
 	ps := &parScheduler{cfg: cfg, pool: pool}
-	ps.s = newSchedulerHooked(cfg, sp, parts, eval, out, ps.prepare)
+	ps.s = newSchedulerHooked(cfg, sp, points, parts, eval, out, ps.prepare)
 	ps.run()
 	return finishOutcome(out, ps.s)
 }
@@ -108,12 +109,12 @@ func (ps *parScheduler) prepare(w *worker) {
 		seedPt := w.seeds[0]
 		w.seeds = w.seeds[1:]
 		w.pendingSeed = &seedPt
-		ps.pool.prefetchPart(seedPt, w.part)
+		ps.pool.prefetchPart(ps.pool.points.ID(seedPt), seedPt, w.part)
 		return
 	}
 	w.pendingProps = w.driver.Propose(ps.cfg.BatchPerIter)
 	for _, p := range w.pendingProps {
-		ps.pool.prefetchPart(p.Point, w.part)
+		ps.pool.prefetchPart(p.ID, p.Point, w.part)
 	}
 }
 
@@ -188,21 +189,26 @@ func (ps *parScheduler) step(w *worker) {
 	}
 }
 
-// poolJob is one speculative evaluation request. part is the partition
-// index the proposing worker held (-1 when unknown, e.g. training
-// samples dispatched before assignment), carried only as a pprof label.
+// poolJob is one speculative evaluation request for the point pt with
+// identity id. part is the partition index the proposing worker held
+// (-1 when unknown, e.g. training samples dispatched before assignment),
+// carried only as a pprof label.
 type poolJob struct {
+	id   space.ID
 	pt   space.Point
 	part int
 	enq  time.Time
 }
 
 // evalPool runs pure evaluations on real goroutines, memoized in a
-// sharded cache the merge goroutine reads results from.
+// sharded cache the merge goroutine reads results from. The cache keys
+// on the run's point table; only the merge goroutine computes IDs, and
+// jobs carry theirs to the pool.
 type evalPool struct {
 	pure   tuner.Evaluator
 	kernel string // pprof label value attributing samples to the app
-	cache  *hls.Cache[tuner.Result]
+	points *space.Table
+	cache  *hls.Cache[space.ID, tuner.Result]
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -220,14 +226,15 @@ type evalPool struct {
 	mergeStallNS int64
 }
 
-func newEvalPool(workers int, kernel string, pure tuner.Evaluator) *evalPool {
+func newEvalPool(workers int, kernel string, pure tuner.Evaluator, points *space.Table) *evalPool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &evalPool{
 		pure:   pure,
 		kernel: kernel,
-		cache:  hls.NewCache[tuner.Result](hls.DefaultCacheShards),
+		points: points,
+		cache:  hls.NewCache[space.ID, tuner.Result](hls.DefaultCacheShards),
 		busyNS: make([]int64, workers),
 		//determinism:allow telemetry-only: pool wall time never reaches results (replay is deterministic)
 		started: time.Now(),
@@ -249,18 +256,19 @@ func newEvalPool(workers int, kernel string, pure tuner.Evaluator) *evalPool {
 
 // prefetch queues pt for speculative evaluation with no partition
 // attribution (training samples, partition probes).
-func (p *evalPool) prefetch(pt space.Point) { p.prefetchPart(pt, -1) }
+func (p *evalPool) prefetch(pt space.Point) { p.prefetchPart(p.points.ID(pt), pt, -1) }
 
-// prefetchPart queues pt for speculative evaluation. Never blocks: the
-// queue is unbounded so the merge goroutine can always run ahead.
-func (p *evalPool) prefetchPart(pt space.Point, part int) {
+// prefetchPart queues pt, whose identity is id, for speculative
+// evaluation. Never blocks: the queue is unbounded so the merge
+// goroutine can always run ahead.
+func (p *evalPool) prefetchPart(id space.ID, pt space.Point, part int) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
 	//determinism:allow telemetry-only: queue-wait timing never reaches results
-	p.queue = append(p.queue, poolJob{pt: pt, part: part, enq: time.Now()})
+	p.queue = append(p.queue, poolJob{id: id, pt: pt, part: part, enq: time.Now()})
 	p.mu.Unlock()
 	p.cond.Signal()
 	p.dispatched.Add(1)
@@ -283,9 +291,9 @@ func (p *evalPool) worker(ctx context.Context, i int) {
 		p.queueWait.Add(time.Since(j.enq).Nanoseconds())
 		t0 := time.Now() //determinism:allow telemetry-only: worker busy time never reaches results
 		// GetOrCompute dedups against other pool workers and against the
-		// merge goroutine computing the same key inline.
+		// merge goroutine computing the same point inline.
 		compute := func(context.Context) {
-			p.cache.GetOrCompute(j.pt.Key(), func() tuner.Result { return p.pure(j.pt) })
+			p.cache.GetOrCompute(j.id, func() tuner.Result { return p.pure(j.pt) })
 		}
 		if j.part >= 0 {
 			pprof.Do(ctx, pprof.Labels("s2fa_partition", strconv.Itoa(j.part)), compute)
@@ -298,41 +306,41 @@ func (p *evalPool) worker(ctx context.Context, i int) {
 
 // replayEvaluator is the base of the merge goroutine's evaluator chain:
 // it reproduces the sequential memoizing evaluator (NewTracedEvaluator)
-// exactly — first evaluation of a key in REPLAY order charges the fresh
-// synthesis minutes, repeats cost zero — while sourcing values from the
-// shared cache, computing inline whenever the pool has not finished (or
-// never saw) the key. Must only be called from the merge goroutine.
+// exactly — first evaluation of a point in REPLAY order charges the
+// fresh synthesis minutes, repeats cost zero — while sourcing values from
+// the shared cache, computing inline whenever the pool has not finished
+// (or never saw) the point. Must only be called from the merge goroutine.
 func (p *evalPool) replayEvaluator(tr *obs.Trace) tuner.Evaluator {
-	seen := map[string]bool{}
+	var seen space.IDSet
 	return func(pt space.Point) tuner.Result {
-		key := pt.Key()
-		if seen[key] {
-			r, ok := p.cache.Peek(key)
+		id := p.points.ID(pt)
+		if seen.Has(id) {
+			r, ok := p.cache.Peek(id)
 			if !ok {
-				// Unreachable (the first replay of key completed the
+				// Unreachable (the first replay of id completed the
 				// entry), kept as a safety net.
-				r, _ = p.cache.GetOrCompute(key, func() tuner.Result { return p.pure(pt) })
+				r, _ = p.cache.GetOrCompute(id, func() tuner.Result { return p.pure(pt) })
 			}
 			r.Point = pt
 			r.Minutes = 0 // cached HLS report, no synthesis re-run
 			if tr != nil {
 				hit := tr.Begin("hls", "estimate",
-					obs.Str("point", key), obs.Str("cache", "hit"))
+					obs.Str("point", pt.Key()), obs.Str("cache", "hit"))
 				hit.End(obs.F64("synth_min", 0), obs.Bool("feasible", r.Feasible))
 				tr.Count("hls.cache_hits", 1)
 			}
 			return r
 		}
-		seen[key] = true
+		seen.Add(id)
 		p.freshReplays++
 		var span *obs.Span
 		if tr != nil {
 			span = tr.Begin("hls", "estimate",
-				obs.Str("point", key), obs.Str("cache", "fresh"))
+				obs.Str("point", pt.Key()), obs.Str("cache", "fresh"))
 			tr.Count("hls.estimations", 1)
 		}
 		t0 := time.Now() //determinism:allow telemetry-only: merge-stall timing never reaches results
-		r, _ := p.cache.GetOrCompute(key, func() tuner.Result { return p.pure(pt) })
+		r, _ := p.cache.GetOrCompute(id, func() tuner.Result { return p.pure(pt) })
 		p.mergeStallNS += time.Since(t0).Nanoseconds()
 		// Merlin-rejected points carry a nil Meta (estimated results
 		// always carry their hls.Report).

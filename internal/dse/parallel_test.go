@@ -303,7 +303,7 @@ func (discardSink) Close() error   { return nil }
 func TestEvalPoolCloseAbandonsQueue(t *testing.T) {
 	sp := space.Identify(kernelFor(t))
 	pure := syntheticPure(1, nil)
-	p := newEvalPool(2, "test", pure)
+	p := newEvalPool(2, "test", pure, space.NewTable(sp))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		p.prefetch(sp.RandomPoint(rng))
@@ -320,7 +320,7 @@ func TestEvalPoolCloseAbandonsQueue(t *testing.T) {
 func TestReplayEvaluatorFreshness(t *testing.T) {
 	sp := space.Identify(kernelFor(t))
 	pure := syntheticPure(42, nil)
-	p := newEvalPool(2, "test", pure)
+	p := newEvalPool(2, "test", pure, space.NewTable(sp))
 	defer p.close(nil)
 	replay := p.replayEvaluator(nil)
 	pt := sp.AreaSeed()

@@ -1,13 +1,12 @@
 package hls
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
 // Cache is a sharded, mutex-striped memoization table for estimation
-// results, keyed by design-point key. It exists because the DSE's
+// results, keyed by dense design-point ID (space.ID). It exists because the DSE's
 // concurrent engine evaluates design points from many goroutines at
 // once: a plain map (the pre-concurrency evaluator cache) is
 // single-goroutine only, and a single global mutex would serialize the
@@ -19,19 +18,23 @@ import (
 // as contention) instead of duplicating the work. Values must therefore
 // come from pure computations — every caller receives the single stored
 // value, whoever computed it.
-type Cache[V any] struct {
-	shards []cacheShard[V]
-	seed   maphash.Seed
+type Cache[K CacheKey, V any] struct {
+	shards []cacheShard[K, V]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	contended atomic.Int64
 }
 
-type cacheShard[V any] struct {
+type cacheShard[K CacheKey, V any] struct {
 	mu sync.Mutex
-	m  map[string]*cacheEntry[V]
+	m  map[K]*cacheEntry[V]
 }
+
+// CacheKey is the type of a Cache key: a dense ID such as space.ID.
+// IDs handed out in order spread evenly over the shards, so a key picks
+// its own shard with no hashing.
+type CacheKey interface{ ~int32 }
 
 type cacheEntry[V any] struct {
 	ready chan struct{} // closed once val is set
@@ -44,23 +47,19 @@ const DefaultCacheShards = 64
 
 // NewCache returns a cache striped over the given number of shards
 // (values < 1 fall back to DefaultCacheShards).
-func NewCache[V any](shardCount int) *Cache[V] {
+func NewCache[K CacheKey, V any](shardCount int) *Cache[K, V] {
 	if shardCount < 1 {
 		shardCount = DefaultCacheShards
 	}
-	c := &Cache[V]{
-		shards: make([]cacheShard[V], shardCount),
-		seed:   maphash.MakeSeed(),
-	}
+	c := &Cache[K, V]{shards: make([]cacheShard[K, V], shardCount)}
 	for i := range c.shards {
-		c.shards[i].m = map[string]*cacheEntry[V]{}
+		c.shards[i].m = map[K]*cacheEntry[V]{}
 	}
 	return c
 }
 
-func (c *Cache[V]) shard(key string) *cacheShard[V] {
-	h := maphash.String(c.seed, key)
-	return &c.shards[h%uint64(len(c.shards))]
+func (c *Cache[K, V]) shard(key K) *cacheShard[K, V] {
+	return &c.shards[uint64(key)%uint64(len(c.shards))]
 }
 
 // GetOrCompute returns the cached value for key, computing it with f on
@@ -68,7 +67,7 @@ func (c *Cache[V]) shard(key string) *cacheShard[V] {
 // (or being computed by another goroutine) — i.e. whether this caller's
 // f was NOT run. f executes outside the shard lock, so long computations
 // only block callers of the same key, never the stripe.
-func (c *Cache[V]) GetOrCompute(key string, f func() V) (V, bool) {
+func (c *Cache[K, V]) GetOrCompute(key K, f func() V) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
@@ -95,7 +94,7 @@ func (c *Cache[V]) GetOrCompute(key string, f func() V) (V, bool) {
 
 // Peek returns the value for key if it has finished computing, without
 // blocking and without recording a hit.
-func (c *Cache[V]) Peek(key string) (V, bool) {
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.m[key]
@@ -112,7 +111,7 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 }
 
 // Len returns the number of entries (including in-flight computations).
-func (c *Cache[V]) Len() int {
+func (c *Cache[K, V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -138,7 +137,7 @@ type CacheStats struct {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache[V]) Stats() CacheStats {
+func (c *Cache[K, V]) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

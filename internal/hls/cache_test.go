@@ -1,14 +1,13 @@
 package hls
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestCacheComputesOncePerKey(t *testing.T) {
-	c := NewCache[int](8)
+	c := NewCache[int32, int](8)
 	var computes atomic.Int64
 	const keys = 40
 	const goroutines = 16
@@ -18,14 +17,13 @@ func TestCacheComputesOncePerKey(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				key := fmt.Sprintf("k%d", i)
 				want := i * 3
-				v, _ := c.GetOrCompute(key, func() int {
+				v, _ := c.GetOrCompute(int32(i), func() int {
 					computes.Add(1)
 					return want
 				})
 				if v != want {
-					t.Errorf("key %s: got %d want %d", key, v, want)
+					t.Errorf("key %d: got %d want %d", i, v, want)
 				}
 			}
 		}(g)
@@ -47,25 +45,26 @@ func TestCacheComputesOncePerKey(t *testing.T) {
 }
 
 func TestCachePeek(t *testing.T) {
-	c := NewCache[string](0) // default shard count
-	if _, ok := c.Peek("missing"); ok {
+	const missing, a, slow = 0, 1, 2
+	c := NewCache[int32, string](0) // default shard count
+	if _, ok := c.Peek(missing); ok {
 		t.Fatal("Peek found a missing key")
 	}
-	c.GetOrCompute("a", func() string { return "va" })
-	v, ok := c.Peek("a")
+	c.GetOrCompute(a, func() string { return "va" })
+	v, ok := c.Peek(a)
 	if !ok || v != "va" {
 		t.Fatalf("Peek(a) = %q, %v", v, ok)
 	}
 	// Peek never blocks on an in-flight entry.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.GetOrCompute("slow", func() string {
+	go c.GetOrCompute(slow, func() string {
 		close(started)
 		<-release
 		return "done"
 	})
 	<-started
-	if _, ok := c.Peek("slow"); ok {
+	if _, ok := c.Peek(slow); ok {
 		t.Fatal("Peek returned an in-flight entry")
 	}
 	close(release)
@@ -73,14 +72,14 @@ func TestCachePeek(t *testing.T) {
 
 func TestCacheSingleShard(t *testing.T) {
 	// One stripe still dedups and serves concurrent readers.
-	c := NewCache[int](1)
+	c := NewCache[int32, int](1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				v, _ := c.GetOrCompute(fmt.Sprint(i), func() int { return i })
+				v, _ := c.GetOrCompute(int32(i), func() int { return i })
 				if v != i {
 					t.Errorf("got %d want %d", v, i)
 				}

@@ -50,12 +50,17 @@ func RestrictFromRanges(s *Space, dev *fpga.Device) (*Space, int) {
 	}
 	floorCycles := totalBytes / cap
 
-	// Narrowest-possible aggregate contribution of each width parameter.
-	minWidth := map[string]int{}
+	// Narrowest-possible aggregate contribution of each width parameter,
+	// kept in Params order so the float sums below add in a fixed order.
+	type bufWidth struct {
+		buffer string
+		min    int
+	}
+	var minWidths []bufWidth
 	for i := range s.Params {
 		p := &s.Params[i]
 		if p.Kind == FactorBitWidth && p.Size() > 0 {
-			minWidth[p.Buffer] = p.ValueAt(0)
+			minWidths = append(minWidths, bufWidth{p.Buffer, p.ValueAt(0)})
 		}
 	}
 
@@ -72,9 +77,9 @@ func RestrictFromRanges(s *Space, dev *fpga.Device) (*Space, int) {
 		}
 		bytes := float64(buf.Length) * float64(buf.Elem.Bits()) / 8
 		othersMin := 0.0
-		for name, w := range minWidth {
-			if name != sp.Buffer {
-				othersMin += float64(w) / 8
+		for _, m := range minWidths {
+			if m.buffer != sp.Buffer {
+				othersMin += float64(m.min) / 8
 			}
 		}
 		// Find the smallest saturating width: every larger domain value is

@@ -138,21 +138,22 @@ type Point map[string]int
 // Clone copies the point.
 func (pt Point) Clone() Point {
 	out := make(Point, len(pt))
-	for k, v := range pt {
+	for k, v := range pt { //determinism:allow copy into a map, order-free
 		out[k] = v
 	}
 	return out
 }
 
-// Key returns a canonical string identity for deduplication:
-// "name=value;" for every parameter, in name order. Every memo, tuner
-// database and guard lookup computes it, so it is built in one exactly
-// sized buffer.
+// Key returns the point's canonical display string: "name=value;" for
+// every parameter, in name order. Traces, reports and goldens print it;
+// no DSE table keys on it, since it sorts the names on every call. The
+// tables key on the point's identity code (AppendCode), interned per run
+// into a dense ID by a Table.
 func (pt Point) Key() string {
 	keys := make([]string, 0, len(pt))
 	var num [20]byte
 	n := 0
-	for k, v := range pt {
+	for k, v := range pt { //determinism:allow names sorted immediately below
 		keys = append(keys, k)
 		n += len(k) + len(strconv.AppendInt(num[:0], int64(v), 10)) + 2
 	}

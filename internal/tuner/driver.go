@@ -18,7 +18,10 @@ type Evaluator func(space.Point) Result
 // OpenTuner baseline in the paper evaluates the top-8 candidates per
 // iteration on its 8 cores).
 type Driver struct {
-	Space      *space.Space
+	Space *space.Space
+	// Points gives every point its identity. Drivers of one run share
+	// it with the run's other tables (see space.Table).
+	Points     *space.Table
 	DB         *DB
 	Eval       Evaluator
 	Techniques []Technique
@@ -34,29 +37,32 @@ type Driver struct {
 	ctx *Context
 }
 
-// NewDriver assembles a driver with the default technique ensemble and
-// bandit configuration.
-func NewDriver(s *space.Space, eval Evaluator, seed int64) *Driver {
+// NewDriver assembles a driver over s, identifying points in the table
+// points (built over s or the space s was restricted from), with the
+// default technique ensemble and bandit configuration.
+func NewDriver(s *space.Space, points *space.Table, eval Evaluator, seed int64) *Driver {
 	rng := rand.New(rand.NewSource(seed))
 	techs := DefaultTechniques(rng)
 	d := &Driver{
 		Space:      s,
+		Points:     points,
 		DB:         NewDB(),
 		Eval:       eval,
 		Techniques: techs,
 		Bandit:     NewAUCBandit(len(techs), 50, 0.05),
 		Rng:        rng,
 	}
-	d.ctx = &Context{Space: s, DB: d.DB, Rng: rng}
+	d.ctx = &Context{Space: s, Points: points, DB: d.DB, Rng: rng}
 	return d
 }
 
 // InjectSeed evaluates a caller-provided starting point (paper §4.3.2
 // seed generation) and records it without crediting any technique.
 func (d *Driver) InjectSeed(pt space.Point) Result {
+	id := d.Points.ID(pt)
 	r := d.Eval(pt)
 	r.Technique = "seed"
-	d.DB.Add(r)
+	d.DB.Add(id, r)
 	for _, t := range d.Techniques {
 		if s, ok := t.(Seedable); ok {
 			s.Seed(d.ctx, r)
@@ -67,10 +73,12 @@ func (d *Driver) InjectSeed(pt space.Point) Result {
 
 // Proposal is one not-yet-evaluated design point selected by Propose,
 // remembering which technique it must be credited to on Commit (tech is
-// -1 for the uniform random fallback).
+// -1 for the uniform random fallback) and the point's identity, which
+// Propose computes once for every table that needs it.
 type Proposal struct {
 	Tech  int
 	Point space.Point
+	ID    space.ID
 }
 
 // Propose selects up to k distinct new design points without evaluating
@@ -84,7 +92,6 @@ type Proposal struct {
 // while only the pure evaluation work is shared across goroutines.
 func (d *Driver) Propose(k int) []Proposal {
 	var batch []Proposal
-	inBatch := map[string]bool{}
 	for len(batch) < k {
 		found := false
 		for attempt := 0; attempt < 16; attempt++ {
@@ -97,9 +104,8 @@ func (d *Driver) Propose(k int) []Proposal {
 					obs.F64("score", st.Score),
 					obs.Int("uses", st.Uses))
 			}
-			pt := d.Techniques[ti].Propose(d.ctx)
-			key := pt.Key()
-			if d.DB.Seen(pt) || inBatch[key] {
+			pt, id := d.Techniques[ti].Propose(d.ctx)
+			if d.DB.Seen(id) || inBatch(batch, id) {
 				// Re-proposing an explored point wastes the slot; tell
 				// the bandit so the technique loses credit.
 				d.Bandit.Reward(ti, false)
@@ -111,22 +117,31 @@ func (d *Driver) Propose(k int) []Proposal {
 				}
 				continue
 			}
-			inBatch[key] = true
-			batch = append(batch, Proposal{Tech: ti, Point: pt})
+			batch = append(batch, Proposal{Tech: ti, Point: pt, ID: id})
 			found = true
 			break
 		}
 		if !found {
 			// Fall back to uniform sampling to keep the batch filled.
-			pt := d.Space.RandomPoint(d.Rng)
-			if d.DB.Seen(pt) || inBatch[pt.Key()] {
+			pt, id := d.ctx.intern(d.Space.RandomPoint(d.Rng))
+			if d.DB.Seen(id) || inBatch(batch, id) {
 				break // space exhausted (tiny test spaces)
 			}
-			inBatch[pt.Key()] = true
-			batch = append(batch, Proposal{Tech: -1, Point: pt})
+			batch = append(batch, Proposal{Tech: -1, Point: pt, ID: id})
 		}
 	}
 	return batch
+}
+
+// inBatch reports whether a proposal of batch has identity id. Batches
+// hold at most a few points, so a scan beats a set.
+func inBatch(batch []Proposal, id space.ID) bool {
+	for i := range batch {
+		if batch[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Commit records the evaluation result of one proposal: technique
@@ -139,9 +154,9 @@ func (d *Driver) Commit(p Proposal, r Result) (Result, bool) {
 	} else {
 		r.Technique = "random-fill"
 	}
-	newBest := d.DB.Add(r)
+	newBest := d.DB.Add(p.ID, r)
 	if p.Tech >= 0 {
-		d.Techniques[p.Tech].Feedback(d.ctx, r)
+		d.Techniques[p.Tech].Feedback(d.ctx, p.ID, r)
 		d.Bandit.Reward(p.Tech, newBest)
 		if d.Trace != nil {
 			d.Trace.EventT(d.TID, "tuner", "reward",

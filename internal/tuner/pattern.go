@@ -16,50 +16,50 @@ type PatternSearch struct {
 	// it was derived from, retry the same (param, move) slot first.
 	stickySlot  int
 	sticky      bool
-	pendingKey  string
+	pendingID   space.ID
 	pendingSlot int
 	pendingObj  float64
 }
 
 // NewPatternSearch returns the technique.
-func NewPatternSearch() *PatternSearch { return &PatternSearch{stickySlot: -1} }
+func NewPatternSearch() *PatternSearch { return &PatternSearch{stickySlot: -1, pendingID: noID} }
 
 // Name implements Technique.
 func (p *PatternSearch) Name() string { return "pattern-search" }
 
 // Propose implements Technique.
-func (p *PatternSearch) Propose(ctx *Context) space.Point {
+func (p *PatternSearch) Propose(ctx *Context) (space.Point, space.ID) {
 	best := ctx.DB.Best()
 	if best == nil {
-		return ctx.Space.RandomPoint(ctx.Rng)
+		return ctx.intern(ctx.Space.RandomPoint(ctx.Rng))
 	}
 	nSlots := 4 * len(ctx.Space.Params)
 	if p.sticky {
-		if cand, ok := p.candidate(ctx, best.Point, p.stickySlot); ok {
-			p.remember(cand, p.stickySlot, best.Objective)
-			return cand
+		if cand, id, ok := p.candidate(ctx, best.Point, p.stickySlot); ok {
+			p.remember(id, p.stickySlot, best.Objective)
+			return cand, id
 		}
 		p.sticky = false
 	}
 	for tries := 0; tries < nSlots; tries++ {
 		slot := (p.cursor + tries) % nSlots
-		cand, ok := p.candidate(ctx, best.Point, slot)
+		cand, id, ok := p.candidate(ctx, best.Point, slot)
 		if !ok {
 			continue
 		}
 		p.cursor = (slot + 1) % nSlots
-		p.remember(cand, slot, best.Objective)
-		return cand
+		p.remember(id, slot, best.Objective)
+		return cand, id
 	}
 	// Neighborhood exhausted: jump.
-	return mutate(ctx, best.Point, 2)
+	return ctx.intern(mutate(ctx, best.Point, 2))
 }
 
-// candidate builds the point for one (param, move) slot; ok=false when
-// the move is a no-op or already explored.
-func (p *PatternSearch) candidate(ctx *Context, base space.Point, slot int) (space.Point, bool) {
+// candidate builds the point for one (param, move) slot and its
+// identity; ok=false when the move is a no-op or already explored.
+func (p *PatternSearch) candidate(ctx *Context, base space.Point, slot int) (space.Point, space.ID, bool) {
 	if slot < 0 || slot >= 4*len(ctx.Space.Params) {
-		return nil, false
+		return nil, noID, false
 	}
 	prm := &ctx.Space.Params[slot/4]
 	move := slot % 4
@@ -76,29 +76,30 @@ func (p *PatternSearch) candidate(ctx *Context, base space.Point, slot int) (spa
 		next = prm.ValueAt(minI(prm.Size()-1, maxI(0, prm.Ordinal(cur)-1)))
 	}
 	if next == cur {
-		return nil, false
+		return nil, noID, false
 	}
 	cand := base.Clone()
 	cand[prm.Name] = next
-	if ctx.DB.Seen(cand) {
-		return nil, false
+	id := ctx.Points.ID(cand)
+	if ctx.DB.Seen(id) {
+		return nil, noID, false
 	}
-	return cand, true
+	return cand, id, true
 }
 
-func (p *PatternSearch) remember(cand space.Point, slot int, baseObj float64) {
-	p.pendingKey = cand.Key()
+func (p *PatternSearch) remember(id space.ID, slot int, baseObj float64) {
+	p.pendingID = id
 	p.pendingSlot = slot
 	p.pendingObj = baseObj
 }
 
 // Feedback implements Technique: a move that beat the incumbent it was
 // derived from becomes sticky.
-func (p *PatternSearch) Feedback(ctx *Context, r Result) {
-	if r.Point.Key() != p.pendingKey {
+func (p *PatternSearch) Feedback(ctx *Context, id space.ID, r Result) {
+	if id != p.pendingID {
 		return
 	}
-	p.pendingKey = ""
+	p.pendingID = noID
 	if r.Feasible && r.Objective < p.pendingObj {
 		p.sticky = true
 		p.stickySlot = p.pendingSlot

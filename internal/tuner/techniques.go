@@ -18,21 +18,21 @@ func NewGreedyMutation() *GreedyMutation { return &GreedyMutation{} }
 func (g *GreedyMutation) Name() string { return "uniform-greedy-mutation" }
 
 // Propose implements Technique.
-func (g *GreedyMutation) Propose(ctx *Context) space.Point {
+func (g *GreedyMutation) Propose(ctx *Context) (space.Point, space.ID) {
 	best := ctx.DB.Best()
 	if best == nil {
-		return ctx.Space.RandomPoint(ctx.Rng)
+		return ctx.intern(ctx.Space.RandomPoint(ctx.Rng))
 	}
 	if ctx.Rng.Float64() < 0.5 {
 		// Local move: step one parameter within its neighborhood.
-		return neighbor(ctx, best.Point, 1)
+		return ctx.intern(neighbor(ctx, best.Point, 1))
 	}
-	return mutate(ctx, best.Point, 1)
+	return ctx.intern(mutate(ctx, best.Point, 1))
 }
 
 // Feedback implements Technique. Greedy mutation is stateless: the DB's
 // incumbent is its state.
-func (g *GreedyMutation) Feedback(ctx *Context, r Result) {}
+func (g *GreedyMutation) Feedback(ctx *Context, id space.ID, r Result) {}
 
 // DifferentialEvolution is a DE/rand/1/bin genetic algorithm over the
 // ordinal encoding of the design space.
@@ -44,26 +44,27 @@ type DifferentialEvolution struct {
 	pop     []space.Point
 	fitness []float64
 	next    int // round-robin target index
-	pending map[string]int
+	// pending maps a proposed trial to its target population slot.
+	pending map[space.ID]int
 }
 
 // NewDifferentialEvolution returns a DE technique with the given
 // population size, differential weight F, and crossover rate CR.
 func NewDifferentialEvolution(popSize int, f, cr float64) *DifferentialEvolution {
-	return &DifferentialEvolution{popSize: popSize, f: f, cr: cr, pending: map[string]int{}}
+	return &DifferentialEvolution{popSize: popSize, f: f, cr: cr, pending: map[space.ID]int{}}
 }
 
 // Name implements Technique.
 func (d *DifferentialEvolution) Name() string { return "differential-evolution-ga" }
 
 // Propose implements Technique.
-func (d *DifferentialEvolution) Propose(ctx *Context) space.Point {
+func (d *DifferentialEvolution) Propose(ctx *Context) (space.Point, space.ID) {
 	if len(d.pop) < d.popSize {
-		pt := ctx.Space.RandomPoint(ctx.Rng)
+		pt, id := ctx.intern(ctx.Space.RandomPoint(ctx.Rng))
 		d.pop = append(d.pop, pt)
 		d.fitness = append(d.fitness, math.Inf(1))
-		d.pending[pt.Key()] = len(d.pop) - 1
-		return pt
+		await(ctx, d.pending, id, len(d.pop)-1)
+		return pt, id
 	}
 	t := d.next % d.popSize
 	d.next++
@@ -81,9 +82,17 @@ func (d *DifferentialEvolution) Propose(ctx *Context) space.Point {
 			trial[i] = ot[i]
 		}
 	}
-	pt := pointFromOrdinals(ctx.Space, trial)
-	d.pending[pt.Key()] = t
-	return pt
+	pt, id := ctx.intern(pointFromOrdinals(ctx.Space, trial))
+	await(ctx, d.pending, id, t)
+	return pt, id
+}
+
+// await records in pending that the proposal id belongs to slot. A point
+// the DB has already seen is never evaluated again, so it gets no entry.
+func await(ctx *Context, pending map[space.ID]int, id space.ID, slot int) {
+	if !ctx.DB.Seen(id) {
+		pending[id] = slot
+	}
 }
 
 // Seed implements Seedable: seeds join the population.
@@ -108,13 +117,12 @@ func (d *DifferentialEvolution) Seed(ctx *Context, r Result) {
 
 // Feedback implements Technique: a trial replaces its target when it
 // improves on the target's fitness.
-func (d *DifferentialEvolution) Feedback(ctx *Context, r Result) {
-	key := r.Point.Key()
-	idx, ok := d.pending[key]
+func (d *DifferentialEvolution) Feedback(ctx *Context, id space.ID, r Result) {
+	idx, ok := d.pending[id]
 	if !ok {
 		return
 	}
-	delete(d.pending, key)
+	delete(d.pending, id)
 	if idx >= len(d.pop) {
 		return
 	}
@@ -131,7 +139,7 @@ type PSO struct {
 	next      int
 	gbest     space.Point
 	gbestObj  float64
-	pending   map[string]int
+	pending   map[space.ID]int // proposed point -> particle index
 }
 
 type psoParticle struct {
@@ -142,7 +150,7 @@ type psoParticle struct {
 
 // NewPSO returns a PSO technique with n particles.
 func NewPSO(n int) *PSO {
-	return &PSO{n: n, gbestObj: math.Inf(1), pending: map[string]int{}}
+	return &PSO{n: n, gbestObj: math.Inf(1), pending: map[space.ID]int{}}
 }
 
 // Name implements Technique.
@@ -156,17 +164,17 @@ const (
 )
 
 // Propose implements Technique.
-func (p *PSO) Propose(ctx *Context) space.Point {
+func (p *PSO) Propose(ctx *Context) (space.Point, space.ID) {
 	if len(p.particles) < p.n {
-		pt := ctx.Space.RandomPoint(ctx.Rng)
+		pt, id := ctx.intern(ctx.Space.RandomPoint(ctx.Rng))
 		pos := ordinalPoint(ctx.Space, pt)
 		vel := make([]float64, len(pos))
 		for i := range vel {
 			vel[i] = (ctx.Rng.Float64() - 0.5) * float64(ctx.Space.Params[i].Size()) / 4
 		}
 		p.particles = append(p.particles, psoParticle{pos: pos, vel: vel, best: pt.Clone(), bestObj: math.Inf(1)})
-		p.pending[pt.Key()] = len(p.particles) - 1
-		return pt
+		await(ctx, p.pending, id, len(p.particles)-1)
+		return pt, id
 	}
 	i := p.next % len(p.particles)
 	p.next++
@@ -192,9 +200,9 @@ func (p *PSO) Propose(ctx *Context) space.Point {
 		}
 		part.pos[d] += part.vel[d]
 	}
-	pt := pointFromOrdinals(ctx.Space, part.pos)
-	p.pending[pt.Key()] = i
-	return pt
+	pt, id := ctx.intern(pointFromOrdinals(ctx.Space, part.pos))
+	await(ctx, p.pending, id, i)
+	return pt, id
 }
 
 // Seed implements Seedable: the seed becomes a particle (and the global
@@ -218,13 +226,12 @@ func (p *PSO) Seed(ctx *Context, r Result) {
 }
 
 // Feedback implements Technique.
-func (p *PSO) Feedback(ctx *Context, r Result) {
-	key := r.Point.Key()
-	i, ok := p.pending[key]
+func (p *PSO) Feedback(ctx *Context, id space.ID, r Result) {
+	i, ok := p.pending[id]
 	if !ok {
 		return
 	}
-	delete(p.pending, key)
+	delete(p.pending, id)
 	if i >= len(p.particles) {
 		return
 	}
@@ -247,13 +254,13 @@ type Annealer struct {
 	cooling float64
 	cur     space.Point
 	curObj  float64
-	pending space.Point
+	pending space.ID // the last proposal, or noID
 }
 
 // NewAnnealer returns a simulated-annealing technique with initial
 // temperature t0 (relative objective units) and cooling factor per step.
 func NewAnnealer(t0, cooling float64) *Annealer {
-	return &Annealer{temp: t0, cooling: cooling, curObj: math.Inf(1)}
+	return &Annealer{temp: t0, cooling: cooling, curObj: math.Inf(1), pending: noID}
 }
 
 // Name implements Technique.
@@ -268,27 +275,27 @@ func (a *Annealer) Seed(ctx *Context, r Result) {
 }
 
 // Propose implements Technique.
-func (a *Annealer) Propose(ctx *Context) space.Point {
+func (a *Annealer) Propose(ctx *Context) (space.Point, space.ID) {
 	if a.cur == nil {
-		pt := ctx.Space.RandomPoint(ctx.Rng)
-		a.pending = pt
-		return pt
+		pt, id := ctx.intern(ctx.Space.RandomPoint(ctx.Rng))
+		a.pending = id
+		return pt, id
 	}
 	steps := 1
 	if ctx.Rng.Float64() < 0.3 {
 		steps = 2
 	}
-	pt := neighbor(ctx, a.cur, steps)
-	a.pending = pt
-	return pt
+	pt, id := ctx.intern(neighbor(ctx, a.cur, steps))
+	a.pending = id
+	return pt, id
 }
 
 // Feedback implements Technique.
-func (a *Annealer) Feedback(ctx *Context, r Result) {
-	if a.pending == nil || r.Point.Key() != a.pending.Key() {
+func (a *Annealer) Feedback(ctx *Context, id space.ID, r Result) {
+	if id != a.pending {
 		return
 	}
-	a.pending = nil
+	a.pending = noID
 	accept := false
 	switch {
 	case a.cur == nil || r.Objective < a.curObj:

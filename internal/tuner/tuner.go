@@ -31,22 +31,23 @@ type Result struct {
 }
 
 // DB stores every evaluated result and tracks the best feasible point.
+// It identifies points by their ID in the driver's point table.
 type DB struct {
 	Results []Result
-	seen    map[string]bool
+	seen    space.IDSet
 	best    *Result
 }
 
 // NewDB returns an empty result database.
 func NewDB() *DB {
-	return &DB{seen: map[string]bool{}}
+	return &DB{}
 }
 
-// Add records a result, updating the incumbent. It returns true when the
-// result is a new global best.
-func (db *DB) Add(r Result) bool {
+// Add records the result of the point with identity id, updating the
+// incumbent. It returns true when the result is a new global best.
+func (db *DB) Add(id space.ID, r Result) bool {
 	db.Results = append(db.Results, r)
-	db.seen[r.Point.Key()] = true
+	db.seen.Add(id)
 	if r.Feasible && (db.best == nil || r.Objective < db.best.Objective) {
 		cp := r
 		db.best = &cp
@@ -60,17 +61,25 @@ func (db *DB) Best() *Result {
 	return db.best
 }
 
-// Seen reports whether the point was already evaluated.
-func (db *DB) Seen(pt space.Point) bool { return db.seen[pt.Key()] }
+// Seen reports whether the point with identity id was already evaluated.
+func (db *DB) Seen(id space.ID) bool { return db.seen.Has(id) }
 
 // Len returns the number of evaluated results.
 func (db *DB) Len() int { return len(db.Results) }
 
-// Context is what techniques see when proposing points.
+// Context is what techniques see when proposing points. Points is the
+// table that gives every point its identity; the DB and all technique
+// bookkeeping key on it.
 type Context struct {
-	Space *space.Space
-	DB    *DB
-	Rng   *rand.Rand
+	Space  *space.Space
+	Points *space.Table
+	DB     *DB
+	Rng    *rand.Rand
+}
+
+// intern pairs pt with its identity, the form Propose returns.
+func (c *Context) intern(pt space.Point) (space.Point, space.ID) {
+	return pt, c.Points.ID(pt)
 }
 
 // Seedable is implemented by techniques whose internal state (population,
@@ -85,12 +94,17 @@ type Seedable interface {
 type Technique interface {
 	Name() string
 	// Propose returns the next design point to evaluate (never nil; fall
-	// back to a random point when the technique has no better idea).
-	Propose(ctx *Context) space.Point
+	// back to a random point when the technique has no better idea) and
+	// its identity in ctx.Points.
+	Propose(ctx *Context) (space.Point, space.ID)
 	// Feedback delivers the evaluation result of a point this technique
-	// proposed.
-	Feedback(ctx *Context, r Result)
+	// proposed, with the point's identity.
+	Feedback(ctx *Context, id space.ID, r Result)
 }
+
+// noID marks a technique's pending slot as empty; table IDs are never
+// negative.
+const noID space.ID = -1
 
 // mutate returns a copy of pt with n randomly chosen parameters replaced
 // by uniform random domain values.

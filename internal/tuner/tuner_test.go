@@ -50,7 +50,7 @@ func targetOf(s *space.Space) space.Point {
 func TestDriverConvergesOnBowl(t *testing.T) {
 	s := quadSpace()
 	target := targetOf(s)
-	d := NewDriver(s, bowl(s, target), 1)
+	d := NewDriver(s, space.NewTable(s), bowl(s, target), 1)
 	for i := 0; i < 150; i++ {
 		d.Step(1)
 	}
@@ -66,7 +66,7 @@ func TestDriverConvergesOnBowl(t *testing.T) {
 func TestDriverDedupesProposals(t *testing.T) {
 	s := quadSpace()
 	target := targetOf(s)
-	d := NewDriver(s, bowl(s, target), 2)
+	d := NewDriver(s, space.NewTable(s), bowl(s, target), 2)
 	seen := map[string]bool{}
 	for i := 0; i < 60; i++ {
 		for _, r := range d.Step(1) {
@@ -82,7 +82,7 @@ func TestDriverDedupesProposals(t *testing.T) {
 func TestInjectSeedBecomesIncumbent(t *testing.T) {
 	s := quadSpace()
 	target := targetOf(s)
-	d := NewDriver(s, bowl(s, target), 3)
+	d := NewDriver(s, space.NewTable(s), bowl(s, target), 3)
 	r := d.InjectSeed(target.Clone())
 	if r.Objective != 0 {
 		t.Fatalf("seed objective = %v", r.Objective)
@@ -100,7 +100,7 @@ func TestInfeasibleNeverBest(t *testing.T) {
 	eval := func(pt space.Point) Result {
 		return Result{Point: pt, Objective: 1, Feasible: false, Minutes: 1}
 	}
-	d := NewDriver(s, eval, 4)
+	d := NewDriver(s, space.NewTable(s), eval, 4)
 	for i := 0; i < 20; i++ {
 		d.Step(1)
 	}
@@ -111,20 +111,19 @@ func TestInfeasibleNeverBest(t *testing.T) {
 
 func TestDBBestTracking(t *testing.T) {
 	db := NewDB()
-	pt := space.Point{"a": 1}
-	if db.Add(Result{Point: pt, Objective: 5, Feasible: true}) != true {
+	if db.Add(0, Result{Point: space.Point{"a": 1}, Objective: 5, Feasible: true}) != true {
 		t.Error("first feasible not newBest")
 	}
-	if db.Add(Result{Point: space.Point{"a": 2}, Objective: 9, Feasible: true}) {
+	if db.Add(1, Result{Point: space.Point{"a": 2}, Objective: 9, Feasible: true}) {
 		t.Error("worse result reported as newBest")
 	}
-	if !db.Add(Result{Point: space.Point{"a": 3}, Objective: 1, Feasible: true}) {
+	if !db.Add(2, Result{Point: space.Point{"a": 3}, Objective: 1, Feasible: true}) {
 		t.Error("better result not reported as newBest")
 	}
 	if db.Best().Objective != 1 || db.Len() != 3 {
 		t.Errorf("best=%v len=%d", db.Best().Objective, db.Len())
 	}
-	if !db.Seen(pt) || db.Seen(space.Point{"a": 42}) {
+	if !db.Seen(0) || db.Seen(42) {
 		t.Error("Seen bookkeeping broken")
 	}
 }
@@ -179,10 +178,10 @@ func TestPatternSearchClimbsLadder(t *testing.T) {
 		v := float64(pt["L0.parallel"])
 		return Result{Point: pt, Objective: 1000 - v, Feasible: true, Minutes: 1}
 	}
-	d := NewDriver(s, eval, 5)
+	d := NewDriver(s, space.NewTable(s), eval, 5)
 	d.Techniques = []Technique{NewPatternSearch()}
 	d.Bandit = NewAUCBandit(1, 50, 0.05)
-	d.ctx = &Context{Space: s, DB: d.DB, Rng: d.Rng}
+	d.ctx = &Context{Space: s, Points: d.Points, DB: d.DB, Rng: d.Rng}
 	d.InjectSeed(s.AreaSeed())
 	for i := 0; i < 40; i++ {
 		d.Step(1)
@@ -197,18 +196,18 @@ func TestTechniquesProposeValidPoints(t *testing.T) {
 	s := quadSpace()
 	rng := rand.New(rand.NewSource(11))
 	db := NewDB()
-	ctx := &Context{Space: s, DB: db, Rng: rng}
+	ctx := &Context{Space: s, Points: space.NewTable(s), DB: db, Rng: rng}
 	target := targetOf(s)
 	eval := bowl(s, target)
 	for _, tech := range DefaultTechniques(rng) {
 		for i := 0; i < 30; i++ {
-			pt := tech.Propose(ctx)
+			pt, id := tech.Propose(ctx)
 			if err := s.Validate(pt); err != nil {
 				t.Fatalf("%s proposed invalid point: %v", tech.Name(), err)
 			}
 			r := eval(pt)
-			db.Add(r)
-			tech.Feedback(ctx, r)
+			db.Add(id, r)
+			tech.Feedback(ctx, id, r)
 		}
 	}
 }
@@ -217,7 +216,7 @@ func TestSeedableTechniques(t *testing.T) {
 	s := quadSpace()
 	rng := rand.New(rand.NewSource(12))
 	db := NewDB()
-	ctx := &Context{Space: s, DB: db, Rng: rng}
+	ctx := &Context{Space: s, Points: space.NewTable(s), DB: db, Rng: rng}
 	target := targetOf(s)
 	seed := Result{Point: target.Clone(), Objective: 0, Feasible: true}
 	n := 0
