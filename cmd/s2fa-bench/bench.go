@@ -87,7 +87,7 @@ type benchReport struct {
 	// size from 1 to GOMAXPROCS, each verified byte-identical to the
 	// sequential render. It is the in-repo data behind the parallel
 	// engine's speedup gate — on a multi-core runner the curve shows
-	// where the replay-ordered merge stops scaling. Empty unless the
+	// where the serial scheduler loop stops scaling. Empty unless the
 	// sweep was requested.
 	Scaling []scalePoint `json:"scaling,omitempty"`
 	// StageMicros are per-stage single-threaded microbenchmarks (us/op),

@@ -70,7 +70,7 @@ func TestDSECrossEngineDeterminism(t *testing.T) {
 					pcfg.Engine = dse.EngineParallel
 					pcfg.Parallelism = pool
 					got := outcomeFingerprint(dse.Run(k, sp,
-						dse.NewPureEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{}), pcfg))
+						dse.NewEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{}), pcfg))
 					if got != ref {
 						t.Errorf("parallel outcome diverged from sequential reference:\n--- sequential\n%s--- parallel\n%s", ref, got)
 					}

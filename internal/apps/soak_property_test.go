@@ -432,7 +432,7 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 	pcfg.Engine = dse.EngineParallel
 	pcfg.Parallelism = 4
 	par := outcomeFingerprint(dse.Run(kern, spPar,
-		dse.NewPureEvaluator(kern, spPar, dev, 256, hls.Options{}), pcfg))
+		dse.NewEvaluator(kern, spPar, dev, 256, hls.Options{}), pcfg))
 	if ref != par {
 		return "dse-determinism", fmt.Sprintf("--- sequential\n%s--- parallel\n%s", ref, par)
 	}

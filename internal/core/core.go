@@ -29,7 +29,6 @@ import (
 	"s2fa/internal/merlin"
 	"s2fa/internal/obs"
 	"s2fa/internal/space"
-	"s2fa/internal/tuner"
 )
 
 // Framework holds the target platform and exploration defaults.
@@ -163,15 +162,7 @@ func (f *Framework) BuildFromClass(cls *bytecode.Class, k *cir.Kernel) (*Build, 
 	if tasks <= 0 {
 		tasks = 4096
 	}
-	// The parallel engine memoizes and traces internally (replay
-	// evaluation), so it gets the pure evaluator; the sequential engine
-	// gets the classic memoizing traced one.
-	var eval tuner.Evaluator
-	if cfg.Engine == dse.EngineParallel {
-		eval = dse.NewPureEvaluator(k, b.Space, f.Device, int64(tasks), f.HLS)
-	} else {
-		eval = dse.NewTracedEvaluator(k, b.Space, f.Device, int64(tasks), f.HLS, f.Trace)
-	}
+	eval := dse.NewEvaluator(k, b.Space, f.Device, int64(tasks), f.HLS)
 	dspan := f.Trace.Begin("dse", "run", obs.Str("kernel", k.Name))
 	b.Outcome = dse.Run(k, b.Space, eval, cfg)
 	dspan.End(

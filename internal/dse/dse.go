@@ -105,20 +105,22 @@ func (o *Outcome) BestAt(t float64) float64 {
 	return best
 }
 
-// Engine selects how the simulated workers execute.
+// Engine selects where the pure evaluations run. Both engines drive the
+// same scheduler loop through the same evaluator chain (prune guard,
+// then fresh estimation), so they produce byte-identical Outcomes and
+// per-track traces; the engine only trades wall-clock time.
 type Engine int
 
 const (
-	// EngineSequential steps the workers round-robin on the calling
-	// goroutine — the reference oracle every other engine is measured
-	// against.
+	// EngineSequential evaluates every point inline on the calling
+	// goroutine, proposing each worker's iteration when it is stepped.
 	EngineSequential Engine = iota
-	// EngineParallel runs evaluations on a pool of real goroutines while
-	// a merge loop replays the virtual-clock schedule, producing an
-	// Outcome byte-identical to EngineSequential at any GOMAXPROCS. It
-	// requires the evaluator handed to Run to be pure and
-	// concurrency-safe (NewPureEvaluator); memoization, tracing, and
-	// cache accounting are layered on by the engine itself.
+	// EngineParallel also pre-proposes each worker's next iteration as
+	// soon as the previous one is absorbed and hands its points to a
+	// pool of real goroutines, so evaluations overlap across workers;
+	// the scheduler reads their values from the pool's cache. The
+	// evaluator handed to Run must then be safe for concurrent callers
+	// (NewEvaluator is).
 	EngineParallel
 )
 
@@ -154,13 +156,14 @@ type Config struct {
 	Seed int64
 	// MaxEvaluations is a safety valve for tiny spaces.
 	MaxEvaluations int
-	// Prune puts the evaluator behind the prune guard (guard.go): lint
+	// Prune installs the prune guard's rule table (guard.go): lint
 	// illegal points are rejected for microseconds instead of synthesis
 	// minutes, and points the HLS model provably cannot tell apart
 	// (serialized lanes, port-starved lanes, equivalent interface
 	// widths) share one estimation. The collapses leave the search
 	// trajectory and best design exactly as without them; the outcome
-	// counters record every rule's effect.
+	// counters record every rule's effect. The guard itself is always
+	// there: without Prune it only serves exact repeats, for 0 minutes.
 	Prune bool
 	// Device supplies the DDR interface model for the guard's width
 	// rule; nil defaults to the paper's VU9P.
@@ -226,7 +229,9 @@ func TrivialStopConfig(seed int64) Config {
 }
 
 // Run executes the DSE for kernel k over space sp with the given
-// evaluator and configuration, on a virtual clock.
+// evaluator and configuration, on a virtual clock. eval must charge
+// fresh synthesis minutes on every call (NewEvaluator does); Run
+// memoizes it in the prune guard.
 func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outcome {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
@@ -240,33 +245,25 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	if cfg.MaxEvaluations <= 0 {
 		cfg.MaxEvaluations = 200_000
 	}
-	if cfg.Engine == EngineParallel {
-		return runParallel(k, sp, eval, cfg)
-	}
 
-	out := newOutcome(k)
+	out := &Outcome{KernelName: k.Name, FirstFeasible: math.NaN(), FirstFeasibleMinutes: math.NaN()}
 	points := space.NewTable(sp)
-	eval = guardEvaluator(k, sp, points, eval, cfg, out)
-	var parts []Partition
+	var pool *evalPool
+	var prefetch func(space.Point)
+	if cfg.Engine == EngineParallel {
+		pool = newEvalPool(cfg.poolSize(), k.Name, eval, points)
+		defer pool.close(cfg.Trace)
+		prefetch = pool.prefetch
+	}
+	eval = guardEvaluator(k, sp, points, estimate(eval, pool, cfg.Trace), cfg, out)
+	parts := []Partition{{}}
 	if cfg.Partition != nil {
-		parts = BuildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed)
-	} else {
-		parts = []Partition{{}}
+		parts = buildPartitions(sp, k, eval, *cfg.Partition, cfg.Seed, prefetch)
 	}
 	out.Partitions = parts
 
-	sched := newScheduler(cfg, sp, points, parts, eval, out)
+	sched := newScheduler(cfg, sp, points, parts, eval, out, pool)
 	sched.run()
-	return finishOutcome(out, sched)
-}
-
-func newOutcome(k *cir.Kernel) *Outcome {
-	return &Outcome{KernelName: k.Name, FirstFeasible: math.NaN(), FirstFeasibleMinutes: math.NaN()}
-}
-
-// finishOutcome stamps the scheduler's termination summary onto the
-// outcome, shared by both engines.
-func finishOutcome(out *Outcome, sched *scheduler) *Outcome {
 	out.TotalMinutes = sched.totalMinutes()
 	out.StopReason = sched.stopReason()
 	if !out.Best.Feasible {
@@ -288,12 +285,14 @@ type worker struct {
 	// this partition's evaluations for the span's closing args.
 	span   *obs.Span
 	pevals int
-	// hasPending, pendingSeed, and pendingProps hold the parallel
-	// engine's pre-proposed next iteration (dispatched to the evaluation
-	// pool ahead of the merge loop; see parallel.go). The sequential
-	// engine never sets them.
+	// hasPending, pendingSeed, and pendingProps hold the worker's next
+	// iteration, taken off its seeds or driver by prepare: the seed to
+	// inject (nil for none) or the proposals to commit (none left:
+	// partition exhausted). The sequential engine prepares an iteration
+	// when it steps the worker; the parallel engine prepares it as soon
+	// as the previous one is absorbed, for the pool to evaluate ahead.
 	hasPending   bool
-	pendingSeed  *space.Point
+	pendingSeed  space.Point
 	pendingProps []tuner.Proposal
 }
 
@@ -315,32 +314,21 @@ type scheduler struct {
 	sawTimeout  bool
 	sawStop     bool
 	hitMaxEvals bool
-	// onAssign, when set, runs after a worker receives a new partition
-	// (including the initial assignment). The parallel engine hooks it to
-	// pre-propose the worker's next batch and dispatch the evaluations to
-	// the goroutine pool ahead of the merge loop.
-	onAssign func(w *worker)
+	// pool, set under EngineParallel, evaluates prepared iterations
+	// ahead of the scheduler loop.
+	pool *evalPool
 }
 
-func newScheduler(cfg Config, sp *space.Space, points *space.Table, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
-	return newSchedulerHooked(cfg, sp, points, parts, eval, out, nil)
-}
-
-func newSchedulerHooked(cfg Config, sp *space.Space, points *space.Table, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
-	s := &scheduler{cfg: cfg, sp: sp, points: points, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
-	s.start()
-	return s
-}
-
-// start performs the initial FCFS partition hand-out. Split from the
-// constructor so the parallel engine can install its onAssign hook
-// first.
-func (s *scheduler) start() {
-	for i := 0; i < s.cfg.Workers; i++ {
+// newScheduler builds the scheduler and performs the initial FCFS
+// partition hand-out.
+func newScheduler(cfg Config, sp *space.Space, points *space.Table, parts []Partition, eval tuner.Evaluator, out *Outcome, pool *evalPool) *scheduler {
+	s := &scheduler{cfg: cfg, sp: sp, points: points, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), pool: pool}
+	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{id: i, part: -1}
 		s.workers = append(s.workers, w)
 		s.assign(w)
 	}
+	return s
 }
 
 // assign hands the next queued partition to w (first-come-first-serve,
@@ -374,8 +362,35 @@ func (s *scheduler) assign(w *worker) {
 			obs.Str("rule", p.String()),
 			obs.Vmin(w.clock))
 	}
-	if s.onAssign != nil {
-		s.onAssign(w)
+	if s.pool != nil {
+		s.prepare(w)
+	}
+}
+
+// prepare takes w's next iteration off its seeds or driver, unless one
+// is already pending, and under EngineParallel dispatches its points to
+// the pool. The driver state it proposes from is final: everything
+// before has been absorbed. A worker at the time limit prepares
+// nothing, since step would end it before evaluating, and a proposal
+// would consume driver RNG state the run never uses.
+func (s *scheduler) prepare(w *worker) {
+	if w.done || w.hasPending || w.clock >= s.cfg.TimeLimitMinutes {
+		return
+	}
+	w.hasPending = true
+	if len(w.seeds) > 0 {
+		w.pendingSeed = w.seeds[0]
+		w.seeds = w.seeds[1:]
+		if s.pool != nil {
+			s.pool.prefetchPart(s.points.ID(w.pendingSeed), w.pendingSeed, w.part)
+		}
+		return
+	}
+	w.pendingProps = w.driver.Propose(s.cfg.BatchPerIter)
+	if s.pool != nil {
+		for _, p := range w.pendingProps {
+			s.pool.prefetchPart(p.ID, p.Point, w.part)
+		}
 	}
 }
 
@@ -425,6 +440,9 @@ func (s *scheduler) earliest() *worker {
 	return best
 }
 
+// step runs w's next iteration: the pending seed or proposals (prepared
+// now unless the pool prepared them ahead), each evaluated through the
+// chain and committed to w's driver, then absorbed.
 func (s *scheduler) step(w *worker) {
 	if w.clock >= s.cfg.TimeLimitMinutes {
 		s.sawTimeout = true
@@ -433,39 +451,45 @@ func (s *scheduler) step(w *worker) {
 		w.part = -1
 		return
 	}
+	s.prepare(w)
+	seed, props := w.pendingSeed, w.pendingProps
+	w.hasPending, w.pendingSeed, w.pendingProps = false, nil, nil
 	var results []tuner.Result
 	var iterMinutes float64
-	if len(w.seeds) > 0 {
-		seedPt := w.seeds[0]
-		w.seeds = w.seeds[1:]
-		r := w.driver.InjectSeed(seedPt)
+	if seed != nil {
+		r := w.driver.InjectSeed(seed)
 		results = []tuner.Result{r}
 		iterMinutes = r.Minutes
 	} else {
-		results = w.driver.Step(s.cfg.BatchPerIter)
-		if len(results) == 0 {
+		if len(props) == 0 {
 			// Partition exhausted (tiny sub-space).
 			s.finishPartition(w, "exhausted")
 			return
 		}
 		// Batched candidates run concurrently on the worker's cores
 		// (vanilla mode): the iteration costs the slowest evaluation.
-		for _, r := range results {
+		results = make([]tuner.Result, 0, len(props))
+		for _, p := range props {
+			r, _ := w.driver.Commit(p, s.eval(p.Point))
+			results = append(results, r)
 			if r.Minutes > iterMinutes {
 				iterMinutes = r.Minutes
 			}
 		}
 	}
 	s.absorb(w, results, iterMinutes)
+	if s.pool != nil {
+		// Same partition, next iteration (a partition hand-off already
+		// prepared in assign).
+		s.prepare(w)
+	}
 }
 
 // absorb advances w's virtual clock by one iteration and folds its
 // results into the shared search state: evaluation counts, trace events,
 // first-feasible and incumbent tracking, stopper observation, and the
 // partition hand-off when the stopper fires or the clock hits the
-// budget. Both engines funnel every result batch through this method —
-// it is the single place scheduling accounting happens, which is what
-// makes the parallel engine's replay byte-identical by construction.
+// budget. It is the single place scheduling accounting happens.
 func (s *scheduler) absorb(w *worker, results []tuner.Result, iterMinutes float64) {
 	w.clock += iterMinutes
 	if w.clock > s.cfg.TimeLimitMinutes {

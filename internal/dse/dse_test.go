@@ -8,6 +8,7 @@ import (
 	"s2fa/internal/apps"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
+	"s2fa/internal/obs"
 	"s2fa/internal/space"
 	"s2fa/internal/tuner"
 )
@@ -197,11 +198,23 @@ func TestTrajectoryMonotone(t *testing.T) {
 	}
 }
 
+// TestEvaluatorCachesSynthesis pins the memo of Run's evaluator chain,
+// the prune guard's identity row, on the sequential path: the first
+// evaluation of a point estimates it and charges its synthesis minutes,
+// a repeat charges none, serves the same objective without running the
+// estimator, and is traced as a cache hit.
 func TestEvaluatorCachesSynthesis(t *testing.T) {
 	sp, eval := kmeansSetup(t)
+	calls := 0
+	counted := func(pt space.Point) tuner.Result {
+		calls++
+		return eval(pt)
+	}
+	tr := obs.New(discardSink{})
+	chain := newGuard(nil, estimate(counted, nil, tr), space.NewTable(sp), &Outcome{}, tr)
 	pt := sp.AreaSeed()
-	r1 := eval(pt)
-	r2 := eval(pt)
+	r1 := chain(pt)
+	r2 := chain(pt)
 	if r1.Minutes <= 0 {
 		t.Error("first evaluation charged no synthesis time")
 	}
@@ -210,6 +223,10 @@ func TestEvaluatorCachesSynthesis(t *testing.T) {
 	}
 	if r1.Objective != r2.Objective {
 		t.Error("cache changed the objective")
+	}
+	if c := tr.Counters(); calls != 1 || c["hls.estimations"] != 1 || c["hls.cache_hits"] != 1 {
+		t.Errorf("estimator calls %d, hls.estimations %d, hls.cache_hits %d; want 1 each",
+			calls, c["hls.estimations"], c["hls.cache_hits"])
 	}
 }
 

@@ -10,40 +10,31 @@ import (
 	"s2fa/internal/tuner"
 )
 
-// NewEvaluator builds the design-point evaluator used throughout the DSE:
-// design point -> Merlin directives (validated by merlin.Check) -> HLS
-// estimation of those directives. The objective is estimated kernel
+// NewEvaluator builds the design-point evaluator used throughout the
+// DSE: design point -> Merlin directives (validated by merlin.Check) ->
+// HLS estimation of those directives. The objective is estimated kernel
 // execution seconds for a batch of n tasks (cycles over achieved
-// frequency). Results are memoized: re-evaluating a synthesized
-// configuration costs no additional synthesis time.
+// frequency). The kernel analyses the estimator reads are computed once,
+// here, and shared by every point (hls.Analyze).
+//
+// The evaluator is a pure function of the point (given fixed
+// kernel/space/device/options) and touches no shared mutable state, so
+// the parallel engine's pool calls it from many goroutines at once.
+// Every call charges fresh synthesis minutes: Run memoizes in its prune
+// guard, whose identity row serves an exact repeat for 0 minutes.
 func NewEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
-	return NewTracedEvaluator(k, sp, dev, n, opt, nil)
-}
-
-// NewPureEvaluator is the uncached design-point evaluator: every call
-// validates the point's directives with Merlin and prices them, charging
-// fresh synthesis minutes. The kernel analyses the estimator reads are
-// computed once, here, and shared by every point (hls.Analyze). It is a
-// pure function of the point (given fixed kernel/space/device/options)
-// and touches no shared mutable state — the shared analysis is read-only
-// — so the concurrent engine's worker pool calls it from many goroutines
-// at once; memoization is layered on top by the engines (NewTracedEvaluator
-// for the sequential path, the replay evaluator for the parallel one).
-func NewPureEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
 	an := hls.Analyze(k)
 	return func(pt space.Point) tuner.Result {
-		r, _ := pureEval(an, k, sp, dev, n, opt, pt)
-		return r
+		return pureEval(an, k, sp, dev, n, opt, pt)
 	}
 }
 
-// pureEval evaluates one point against the analysis an of k with no
-// cache and no tracing: merlin.Check validates the point's directives
-// and an.Price estimates them directly, so no annotated kernel is built.
-// The bool reports whether Merlin rejected the point before estimation,
-// which the traced wrappers surface in their span args. Rejected results
-// carry a nil Meta; estimated ones always carry their hls.Report.
-func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
+// pureEval evaluates one point against the analysis an of k:
+// merlin.Check validates the point's directives and an.Price estimates
+// them directly, so no annotated kernel is built. Merlin-rejected
+// results carry a nil Meta; estimated ones always carry their
+// hls.Report.
+func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) tuner.Result {
 	d := sp.Directives(pt)
 	if err := merlin.Check(k, d); err != nil {
 		return tuner.Result{
@@ -51,7 +42,7 @@ func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device
 			Objective: rejectPenalty,
 			Feasible:  false,
 			Minutes:   1, // rejected before synthesis
-		}, true
+		}
 	}
 	opts, widths := an.Directives(d)
 	rep := an.Price(opts, widths, dev, n, opt)
@@ -70,45 +61,35 @@ func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device
 		Feasible:  rep.Feasible,
 		Minutes:   rep.SynthMinutes,
 		Meta:      rep,
-	}, false
+	}
 }
 
-// NewTracedEvaluator is NewEvaluator with an "hls"/"estimate" span around
-// every invocation: cache hits close immediately with cache=hit, fresh
-// estimations carry the Merlin + estimator work and close with the
-// synthesis minutes and feasibility verdict. With tr == nil it behaves —
-// and costs — exactly like NewEvaluator. The memo table is the sharded
-// hls.Cache, so the evaluator is safe for concurrent callers; with a
-// single caller its hit/miss sequence is identical to the old plain-map
-// implementation. The memo keys on each point's identity in a point
-// table over sp, so sp's Restrict sub-boxes share it.
-func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
-	an := hls.Analyze(k)
-	points := space.NewTable(sp)
-	cache := hls.NewCache[space.ID, tuner.Result](hls.DefaultCacheShards)
-	return func(pt space.Point) tuner.Result {
-		r, cached := cache.GetOrCompute(points.ID(pt), func() tuner.Result {
-			var span *obs.Span
-			if tr != nil {
-				span = tr.Begin("hls", "estimate",
-					obs.Str("point", pt.Key()), obs.Str("cache", "fresh"))
-				tr.Count("hls.estimations", 1)
-			}
-			res, rejected := pureEval(an, k, sp, dev, n, opt, pt)
-			span.End(estimateEndKVs(res, rejected)...)
-			tr.Observe("hls_synth_minutes", res.Minutes)
-			return res
-		})
-		if cached {
-			r.Point = pt
-			r.Minutes = 0 // cached HLS report, no synthesis re-run
-			if tr != nil {
-				hit := tr.Begin("hls", "estimate",
-					obs.Str("point", pt.Key()), obs.Str("cache", "hit"))
-				hit.End(obs.F64("synth_min", 0), obs.Bool("feasible", r.Feasible))
-				tr.Count("hls.cache_hits", 1)
-			}
+// estimate is the evaluator chain's fresh-estimate step, behind the
+// prune guard: it prices a point no guard row could serve inside an
+// "hls"/"estimate" span (cache=fresh) that closes with the synthesis
+// minutes, the feasibility verdict and the bottleneck. The value comes
+// from the pure evaluator, inline, or under EngineParallel from the
+// pool's shared cache by the point's ID (pool != nil), whichever
+// goroutine computed it. With tr == nil nothing is traced.
+func estimate(eval tuner.Evaluator, pool *evalPool, tr *obs.Trace) func(space.Point, space.ID) tuner.Result {
+	return func(pt space.Point, id space.ID) tuner.Result {
+		var span *obs.Span
+		if tr != nil {
+			span = tr.Begin("hls", "estimate",
+				obs.Str("point", pt.Key()), obs.Str("cache", "fresh"))
+			tr.Count("hls.estimations", 1)
 		}
+		var r tuner.Result
+		if pool != nil {
+			r = pool.fetch(id, pt)
+		} else {
+			r = eval(pt)
+		}
+		// Merlin-rejected points carry a nil Meta (estimated results
+		// always carry their hls.Report).
+		span.End(estimateEndKVs(r, r.Meta == nil && !r.Feasible)...)
+		tr.Observe("hls_synth_minutes", r.Minutes)
+		r.Point = pt
 		return r
 	}
 }

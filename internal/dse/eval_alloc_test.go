@@ -24,7 +24,7 @@ func TestPureEvalAllocsBelowOneClone(t *testing.T) {
 	dev := fpga.VU9P()
 	an := hls.Analyze(k)
 	pt := sp.PerformanceSeed()
-	if _, rejected := pureEval(an, k, sp, dev, int64(a.Tasks), hls.Options{}, pt); rejected {
+	if r := pureEval(an, k, sp, dev, int64(a.Tasks), hls.Options{}, pt); r.Meta == nil {
 		t.Fatal("S-W performance seed rejected")
 	}
 	eval := testing.AllocsPerRun(50, func() {

@@ -14,9 +14,9 @@ import (
 	"s2fa/internal/tuner"
 )
 
-// The prune guard (Config.Prune) spends synthesis only on design points
-// that can differ. It sits in front of the base evaluator and applies an
-// ordered rule table, AutoDSE-style:
+// The prune guard is the DSE's one memo: every Run evaluates through
+// it. It sits in front of the fresh-estimate step (estimate) and
+// applies an ordered rule table, AutoDSE-style:
 //
 //   - reject rules refuse a point outright, for pruneMinutes instead of
 //     a Merlin + HLS run;
@@ -25,17 +25,22 @@ import (
 //     first evaluated member of a class synthesizes; every later member
 //     is served that report, bit-identical to what the inner evaluator
 //     would have produced, so the search trajectory is unchanged and
-//     only real estimator invocations drop.
+//     only real estimator invocations drop;
+//   - the last row is the identity class, keyed on the point's own ID:
+//     an exact repeat is served its report for 0 minutes and traced as
+//     an hls/estimate cache hit.
+//
+// With Config.Prune off the table holds only the identity row.
 //
 // Reject rules run first, on every call. Each collapse rule maps a
 // point's ID in the run's point table to the ID of its class
 // representative (the point's own ID when the rule leaves it alone), and
-// keeps one result per class ID; the first rule whose class already holds a
-// result serves it with Point set to the evaluated point. A first-seen
+// keeps one result per class ID; the first row whose class already holds
+// a result serves it with Point set to the evaluated point. A first-seen
 // point charges the result's synthesis minutes and counts towards the
 // serving rule; an exact repeat is a memoized report and costs nothing.
-// A served result is recorded in the classes of the rules before the
-// serving one, a fresh result in every rule's class.
+// A served result is recorded in the classes of the rows before the
+// serving one, a fresh result in every row's class.
 
 // pruneMinutes is the virtual cost of a static rejection: a compiler
 // check, microseconds of real work, against minutes for an HLS run. Kept
@@ -57,19 +62,20 @@ type rule struct {
 	canon func(space.Point) space.Point
 }
 
-// guardEvaluator puts eval behind the prune guard when cfg.Prune is set,
-// and records on out how many domain values the static and range
-// analyses would drop (the space itself is left intact: shrinking it
-// would change the partitions and so the whole search). Both engines
-// assemble their evaluator chain here, so every prune decision is
-// identical between them. points is the run's point table.
-func guardEvaluator(k *cir.Kernel, sp *space.Space, points *space.Table, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
-	if !cfg.Prune {
-		return eval
+// guardEvaluator puts inner behind the prune guard: the rule table when
+// cfg.Prune is set, the identity row always. With cfg.Prune it also
+// records on out how many domain values the static and range analyses
+// would drop (the space itself is left intact: shrinking it would
+// change the partitions and so the whole search). points is the run's
+// point table.
+func guardEvaluator(k *cir.Kernel, sp *space.Space, points *space.Table, inner func(space.Point, space.ID) tuner.Result, cfg Config, out *Outcome) tuner.Evaluator {
+	var rules []rule
+	if cfg.Prune {
+		_, out.PrunedDomainValues = space.PruneStatic(sp, k)
+		_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
+		rules = pruneRules(k, sp, cfg)
 	}
-	_, out.PrunedDomainValues = space.PruneStatic(sp, k)
-	_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
-	return newGuard(pruneRules(k, sp, cfg), eval, points, out, cfg.Trace)
+	return newGuard(rules, inner, points, out, cfg.Trace)
 }
 
 // pruneRules is the production rule table: the lint legality check, then
@@ -98,11 +104,12 @@ func (c Config) device() *fpga.Device {
 	return fpga.VU9P()
 }
 
-// newGuard returns inner behind the rule table, identifying points and
-// their class representatives in points, counting each rule's actions
-// into out and tracing them to tr (nil: untraced). It is safe for
-// concurrent callers.
-func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Outcome, tr *obs.Trace) tuner.Evaluator {
+// newGuard returns inner behind the rule table and the identity row,
+// identifying points and their class representatives in points and
+// handing inner each point it must estimate together with its ID,
+// counting each rule's actions into out and tracing them to tr (nil:
+// untraced). It is safe for concurrent callers.
+func newGuard(rules []rule, inner func(space.Point, space.ID) tuner.Result, points *space.Table, out *Outcome, tr *obs.Trace) tuner.Evaluator {
 	var rejects, collapses []rule
 	for _, r := range rules {
 		if r.reject != nil {
@@ -112,9 +119,10 @@ func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Out
 		}
 	}
 	// mu covers classes, seen, and the counters on out; the rules
-	// themselves are read-only after construction.
+	// themselves are read-only after construction. classes has one
+	// table per collapse rule plus the identity row's, last.
 	var mu sync.Mutex
-	classes := make([]map[space.ID]tuner.Result, len(collapses))
+	classes := make([]map[space.ID]tuner.Result, len(collapses)+1)
 	for i := range classes {
 		classes[i] = map[space.ID]tuner.Result{}
 	}
@@ -134,17 +142,19 @@ func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Out
 			return tuner.Result{Point: pt, Objective: rejectPenalty, Minutes: pruneMinutes}
 		}
 		id := points.ID(pt)
-		// class[i] is pt's class under collapse rule i. The production
-		// table has three collapse rules, so the array keeps the slice
-		// off the heap.
+		// class[i] is pt's class under row i. The production table has
+		// three collapse rules and the identity row, so the array keeps
+		// the slice off the heap.
 		var classBuf [4]space.ID
 		class := classBuf[:0]
 		mu.Lock()
-		for i, r := range collapses {
-			c := r.canon(pt)
+		for i := range classes {
+			var c space.Point
 			cid := id
-			if c != nil {
-				cid = points.ID(c)
+			if i < len(collapses) {
+				if c = collapses[i].canon(pt); c != nil {
+					cid = points.ID(c)
+				}
 			}
 			class = append(class, cid)
 			res, ok := classes[i][cid]
@@ -155,7 +165,10 @@ func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Out
 			if seen.Has(id) {
 				res.Minutes = 0
 			} else {
+				// Only a collapse rule serves a first-seen point: the
+				// identity row holds estimated points alone.
 				seen.Add(id)
+				r := collapses[i]
 				*r.tally(out)++
 				if tr != nil {
 					key := pt.Key()
@@ -171,11 +184,17 @@ func newGuard(rules []rule, inner tuner.Evaluator, points *space.Table, out *Out
 				classes[j][class[j]] = res
 			}
 			mu.Unlock()
+			if i == len(collapses) && tr != nil {
+				hit := tr.Begin("hls", "estimate",
+					obs.Str("point", pt.Key()), obs.Str("cache", "hit"))
+				hit.End(obs.F64("synth_min", 0), obs.Bool("feasible", res.Feasible))
+				tr.Count("hls.cache_hits", 1)
+			}
 			return res
 		}
 		seen.Add(id)
 		mu.Unlock()
-		res := inner(pt)
+		res := inner(pt, id)
 		mu.Lock()
 		for i, cid := range class {
 			classes[i][cid] = res

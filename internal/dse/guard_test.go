@@ -104,7 +104,7 @@ func TestGuardRules(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			innerCalls := 0
-			inner := func(pt space.Point) tuner.Result {
+			inner := func(pt space.Point, _ space.ID) tuner.Result {
 				innerCalls++
 				return tuner.Result{Point: pt, Objective: 1, Feasible: true, Minutes: 5}
 			}
@@ -156,7 +156,7 @@ func TestGuardRules(t *testing.T) {
 func TestGuardConcurrentCallers(t *testing.T) {
 	a, sp := swSetup(t)
 	k, _ := a.Kernel()
-	pure := NewPureEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{})
+	pure := NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{})
 	rng := rand.New(rand.NewSource(3))
 	var pts []space.Point
 	for i := 0; i < 24; i++ {
@@ -172,7 +172,7 @@ func TestGuardConcurrentCallers(t *testing.T) {
 		want[i] = pure(pt)
 	}
 	out := &Outcome{}
-	guard := newGuard(pruneRules(k, sp, S2FAConfig(1)), pure, space.NewTable(sp), out, nil)
+	guard := newGuard(pruneRules(k, sp, S2FAConfig(1)), estimate(pure, nil, nil), space.NewTable(sp), out, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -246,7 +246,7 @@ func runWithout(t *testing.T, a *apps.App, seed int64, skip string) *Outcome {
 		}
 	}
 	tally := &Outcome{}
-	eval := newGuard(rules, NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{}), space.NewTable(sp), tally, nil)
+	eval := newGuard(rules, estimate(NewEvaluator(k, sp, fpga.VU9P(), int64(a.Tasks), hls.Options{}), nil, nil), space.NewTable(sp), tally, nil)
 	cfg.Prune = false
 	o := Run(k, sp, eval, cfg)
 	o.StaticallyPruned, o.DependPruned = tally.StaticallyPruned, tally.DependPruned

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"s2fa/internal/dse"
-	"s2fa/internal/hls"
 )
 
 // ComponentRow isolates the contribution of each §4.3 DSE mechanism for
@@ -61,7 +60,7 @@ func ComponentAblation(s *Suite, appNames []string) (*ComponentAblationResult, e
 			return nil, err
 		}
 		run := func(mut func(*dse.Config)) *dse.Outcome {
-			eval := dse.NewEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
+			eval := s.evaluator(r)
 			cfg := dse.S2FAConfig(s.Seed)
 			cfg.Device = s.Device
 			if mut != nil {

@@ -191,13 +191,8 @@ func (s *Suite) configure(cfg dse.Config) dse.Config {
 	return cfg
 }
 
-// evaluator builds the engine-appropriate evaluator for one app: the
-// memoizing evaluator for the sequential engine, the pure (uncached)
-// one for the parallel engine, which layers its own replay memoization.
+// evaluator builds the design-point evaluator for one app.
 func (s *Suite) evaluator(r *AppResult) tuner.Evaluator {
-	if s.Engine == dse.EngineParallel {
-		return dse.NewPureEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
-	}
 	return dse.NewEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
 }
 

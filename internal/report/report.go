@@ -516,7 +516,7 @@ func (a *analysis) renderWorkers(b *strings.Builder, opt Options) {
 	b.WriteString("\n## Worker utilization\n\n")
 	writeTable(b, rows, opt)
 	if w := a.counters["dse.par.speculative_waste"]; w > 0 {
-		fmt.Fprintf(b, "\nSpeculation computed %d estimations the replay never consumed.\n", w)
+		fmt.Fprintf(b, "\nSpeculation computed %d estimations the search never consumed.\n", w)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"s2fa/internal/space"
 )
 
-// maxStepAllocs bounds the allocations of one sequential Driver.Step(1)
-// on the S-W space under a synthetic evaluator (TestDriverAllocs). With
+// maxStepAllocs bounds the allocations of one search step, step(d, 1):
+// Propose, evaluate and Commit one point, on the S-W space under a synthetic evaluator (TestDriverAllocs). With
 // every table keyed on the string Key() the step allocated 57 times;
 // keyed on point-table IDs it allocates 35. The count is deterministic
 // for the fixed seed, and one Key() per proposal adds three, so the
@@ -16,8 +16,8 @@ import (
 const maxStepAllocs = 36
 
 // TestDriverAllocs pins the tuner's hot path: looking up a point the
-// driver has already evaluated allocates nothing, and one Step(1) stays
-// under maxStepAllocs.
+// driver has already evaluated allocates nothing, and one step(d, 1)
+// stays under maxStepAllocs.
 func TestDriverAllocs(t *testing.T) {
 	k, err := apps.Get("S-W").Kernel()
 	if err != nil {
@@ -38,7 +38,7 @@ func TestDriverAllocs(t *testing.T) {
 	d.InjectSeed(seed)
 	d.InjectSeed(sp.AreaSeed())
 	for i := 0; i < 50; i++ {
-		d.Step(1)
+		step(d, 1)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if !d.DB.Seen(d.Points.ID(seed)) {
@@ -47,9 +47,9 @@ func TestDriverAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("looking up a seen S-W point allocates %.1f times, want 0", n)
 	}
-	n := testing.AllocsPerRun(200, func() { d.Step(1) })
-	t.Logf("Step(1): %.1f allocs", n)
+	n := testing.AllocsPerRun(200, func() { step(d, 1) })
+	t.Logf("step(d, 1): %.1f allocs", n)
 	if n > maxStepAllocs {
-		t.Errorf("Step(1) allocates %.1f times, above the bound of %d", n, maxStepAllocs)
+		t.Errorf("step(d, 1) allocates %.1f times, above the bound of %d", n, maxStepAllocs)
 	}
 }

@@ -12,11 +12,12 @@ import (
 type Evaluator func(space.Point) Result
 
 // Driver runs the search loop: the bandit picks a technique, the
-// technique proposes a point, the evaluator scores it, and credit flows
-// back. Step evaluates a batch of k distinct candidates, which models
-// running k HLS evaluations on k CPU cores concurrently (the vanilla
-// OpenTuner baseline in the paper evaluates the top-8 candidates per
-// iteration on its 8 cores).
+// technique proposes a point, the caller evaluates it, and credit flows
+// back through Commit. Propose selects a batch of k distinct
+// candidates, which models running k HLS evaluations on k CPU cores
+// concurrently (the vanilla OpenTuner baseline in the paper evaluates
+// the top-8 candidates per iteration on its 8 cores). Eval scores only
+// injected seeds.
 type Driver struct {
 	Space *space.Space
 	// Points gives every point its identity. Drivers of one run share
@@ -165,16 +166,4 @@ func (d *Driver) Commit(p Proposal, r Result) (Result, bool) {
 		}
 	}
 	return r, newBest
-}
-
-// Step proposes and evaluates up to k distinct new design points,
-// returning their results in proposal order.
-func (d *Driver) Step(k int) []Result {
-	batch := d.Propose(k)
-	out := make([]Result, 0, len(batch))
-	for _, p := range batch {
-		r, _ := d.Commit(p, d.Eval(p.Point))
-		out = append(out, r)
-	}
-	return out
 }

@@ -28,6 +28,19 @@ func quadSpace() *space.Space {
 	return space.Identify(k)
 }
 
+// step proposes up to k distinct new design points, evaluates them with
+// the driver's evaluator and commits the results in proposal order: one
+// iteration of the DSE scheduler's loop, without the scheduler.
+func step(d *Driver, k int) []Result {
+	batch := d.Propose(k)
+	out := make([]Result, 0, len(batch))
+	for _, p := range batch {
+		r, _ := d.Commit(p, d.Eval(p.Point))
+		out = append(out, r)
+	}
+	return out
+}
+
 // bowl returns an evaluator minimizing the squared ordinal distance to a
 // target point.
 func bowl(s *space.Space, target space.Point) Evaluator {
@@ -52,7 +65,7 @@ func TestDriverConvergesOnBowl(t *testing.T) {
 	target := targetOf(s)
 	d := NewDriver(s, space.NewTable(s), bowl(s, target), 1)
 	for i := 0; i < 150; i++ {
-		d.Step(1)
+		step(d, 1)
 	}
 	best := d.DB.Best()
 	if best == nil {
@@ -69,7 +82,7 @@ func TestDriverDedupesProposals(t *testing.T) {
 	d := NewDriver(s, space.NewTable(s), bowl(s, target), 2)
 	seen := map[string]bool{}
 	for i := 0; i < 60; i++ {
-		for _, r := range d.Step(1) {
+		for _, r := range step(d, 1) {
 			key := r.Point.Key()
 			if seen[key] {
 				t.Fatalf("duplicate evaluation of %s", key)
@@ -102,7 +115,7 @@ func TestInfeasibleNeverBest(t *testing.T) {
 	}
 	d := NewDriver(s, space.NewTable(s), eval, 4)
 	for i := 0; i < 20; i++ {
-		d.Step(1)
+		step(d, 1)
 	}
 	if d.DB.Best() != nil {
 		t.Error("infeasible result became the incumbent")
@@ -184,7 +197,7 @@ func TestPatternSearchClimbsLadder(t *testing.T) {
 	d.ctx = &Context{Space: s, Points: d.Points, DB: d.DB, Rng: d.Rng}
 	d.InjectSeed(s.AreaSeed())
 	for i := 0; i < 40; i++ {
-		d.Step(1)
+		step(d, 1)
 	}
 	best := d.DB.Best()
 	if best.Point["L0.parallel"] < 128 {
