@@ -200,8 +200,8 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 	// Cache shadow: a deterministic coin per kernel routes roughly half
 	// the soak population through the shared content-addressed compile
 	// cache — twice, so both the miss and the hit path are exercised.
-	// The served bytecode, rendered C, and lint verdicts must be
-	// bit-identical to the fresh compile above; the rest of the pipeline
+	// The served bytecode and rendered C must be bit-identical to the
+	// fresh compile above; the rest of the pipeline
 	// then runs on the cache-served kernel, so every downstream
 	// differential (JVM, cir evaluator, merlin, DSE, blaze) also vouches
 	// for the cached artifact.
@@ -216,9 +216,6 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 			}
 			if cir.Print(e.Kernel) != cir.Print(kern) {
 				return "ccache", fmt.Sprintf("pass %d: cached kernel renders different C", pass)
-			}
-			if !reflect.DeepEqual(e.Lint, lint.Lint(kern)) {
-				return "ccache", fmt.Sprintf("pass %d: cached lint verdicts differ from fresh", pass)
 			}
 			kern = e.Kernel
 		}

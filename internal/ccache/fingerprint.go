@@ -16,9 +16,8 @@ import (
 // Fingerprint is the content address of one verified kernel class: the
 // SHA-256 of the canonical bytecode encoding concatenated with the
 // abstract-interpretation fact digest. Two classes with the same
-// fingerprint produce byte-identical b2c output, lint verdicts, and
-// dependence/access analyses, so the cache can serve one compilation to
-// the other.
+// fingerprint produce byte-identical b2c output, so the cache can serve
+// one compilation to the other.
 type Fingerprint [32]byte
 
 // String renders the fingerprint as lowercase hex.

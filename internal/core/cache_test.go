@@ -26,10 +26,10 @@ func outcomeKey(o *dse.Outcome) string {
 }
 
 // TestCachedBuildByteIdentical is the acceptance property of the
-// compile cache: an S-W seed-42 build served from the cache (source
-// memo hit, precomputed depend/access analyses feeding the DSE guards)
-// produces byte-identical artifacts and a byte-identical DSE trajectory
-// to a fresh, cache-less build.
+// compile cache: an S-W seed-42 build served from the cache (cache
+// miss, then source memo hit; the DSE analyzes the cached kernel like a
+// fresh one) produces byte-identical artifacts and a byte-identical DSE
+// trajectory to a fresh, cache-less build.
 func TestCachedBuildByteIdentical(t *testing.T) {
 	app := apps.Get("S-W")
 	build := func(fw *Framework) *Build {

@@ -145,19 +145,6 @@ func (f *Framework) BuildFromClass(cls *bytecode.Class, k *cir.Kernel) (*Build, 
 	if cfg.Trace == nil {
 		cfg.Trace = f.Trace
 	}
-	if f.Cache != nil {
-		// A kernel that came out of the cache carries precomputed
-		// dependence/access analyses; hand them to the collapse guards
-		// so a cache hit skips their re-analysis too.
-		if e := f.Cache.EntryFor(k); e != nil {
-			if cfg.Depend == nil {
-				cfg.Depend = e.Depend
-			}
-			if cfg.Access == nil {
-				cfg.Access = e.Access
-			}
-		}
-	}
 	tasks := f.Tasks
 	if tasks <= 0 {
 		tasks = 4096

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"s2fa/internal/access"
 	"s2fa/internal/cir"
-	"s2fa/internal/depend"
 	"s2fa/internal/fpga"
 	"s2fa/internal/obs"
 	"s2fa/internal/space"
@@ -168,16 +166,6 @@ type Config struct {
 	// Device supplies the DDR interface model for the guard's width
 	// rule; nil defaults to the paper's VU9P.
 	Device *fpga.Device
-	// Depend and Access optionally supply precomputed analyses of the
-	// explored kernel (e.g. from the compile cache) consumed by the
-	// guard's rules instead of re-running depend.Analyze/access.Analyze.
-	// Both analyses are deterministic pure functions of the kernel, so
-	// supplying them never changes the search trajectory — only setup
-	// cost. They must describe the same kernel Run receives; nil fields
-	// are computed on demand. The evaluators price points against their
-	// own hls.Analyze of the kernel, built once when they are created.
-	Depend *depend.Analysis
-	Access *access.Analysis
 	// Trace, when set, receives the search telemetry: per-partition
 	// spans on per-worker tracks, per-evaluation events (disposition,
 	// objective, virtual clock), entropy-window values, bandit arm

@@ -63,7 +63,8 @@ type rule struct {
 }
 
 // guardEvaluator puts inner behind the prune guard: the rule table when
-// cfg.Prune is set, the identity row always. With cfg.Prune it also
+// cfg.Prune is set, the identity row always. With cfg.Prune it analyzes
+// k once (hls.Analyze), builds every rule from that analysis, and
 // records on out how many domain values the static and range analyses
 // would drop (the space itself is left intact: shrinking it would
 // change the partitions and so the whole search). points is the run's
@@ -71,29 +72,23 @@ type rule struct {
 func guardEvaluator(k *cir.Kernel, sp *space.Space, points *space.Table, inner func(space.Point, space.ID) tuner.Result, cfg Config, out *Outcome) tuner.Evaluator {
 	var rules []rule
 	if cfg.Prune {
-		_, out.PrunedDomainValues = space.PruneStatic(sp, k)
+		an := hls.Analyze(k)
+		_, out.PrunedDomainValues = space.PruneStatic(sp, an.Checker())
 		_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
-		rules = pruneRules(k, sp, cfg)
+		rules = pruneRules(an, sp, cfg.device())
 	}
 	return newGuard(rules, inner, points, out, cfg.Trace)
 }
 
-// pruneRules is the production rule table: the lint legality check, then
-// the dependence, port-cap, and width collapses.
-func pruneRules(k *cir.Kernel, sp *space.Space, cfg Config) []rule {
-	dep := cfg.Depend
-	if dep == nil {
-		dep = depend.Analyze(k)
-	}
-	acc := cfg.Access
-	if acc == nil {
-		acc = access.Analyze(k)
-	}
+// pruneRules is the production rule table over the analysis an of the
+// explored kernel, whose space is sp: the lint legality check, then the
+// dependence, port-cap, and width collapses.
+func pruneRules(an *hls.Analysis, sp *space.Space, dev *fpga.Device) []rule {
 	return []rule{
-		staticRule(k, sp),
-		dependRule(dep),
-		accessRule(acc),
-		widthRule(k, sp, cfg.device()),
+		staticRule(an.Checker(), sp),
+		dependRule(an.Depend()),
+		accessRule(an.Access()),
+		widthRule(an.Kernel(), sp, an.WidthModel(dev)),
 	}
 }
 
@@ -209,8 +204,7 @@ func newGuard(rules []rule, inner func(space.Point, space.ID) tuner.Result, poin
 // inner evaluator would reject anyway (Merlin annotate error or flatten
 // infeasibility), so pruning never changes which designs are reachable,
 // only how much virtual time illegal proposals burn.
-func staticRule(k *cir.Kernel, sp *space.Space) rule {
-	chk := lint.NewChecker(k)
+func staticRule(chk *lint.Checker, sp *space.Space) rule {
 	return rule{
 		name: "static", event: "prune", counter: "dse.pruned",
 		tally: func(o *Outcome) *int { return &o.StaticallyPruned },
@@ -299,8 +293,9 @@ func accessRule(acc *access.Analysis) rule {
 // (hls.WidthModel.Equivalent) cannot tell from it, one buffer at a time
 // so every step is checked against the widths already chosen. It is
 // gated on buffers whose value range the abstract interpreter proved
-// (cir.Param.ValKnown), and on an untiled task loop.
-func widthRule(k *cir.Kernel, sp *space.Space, dev *fpga.Device) rule {
+// (cir.Param.ValKnown), and on an untiled task loop. wm is k's width
+// model.
+func widthRule(k *cir.Kernel, sp *space.Space, wm *hls.WidthModel) rule {
 	type factor struct {
 		p      *space.Param
 		param  int // index into k.Params
@@ -317,7 +312,6 @@ func widthRule(k *cir.Kernel, sp *space.Space, dev *fpga.Device) rule {
 			}
 		}
 	}
-	wm := hls.NewWidthModel(k, dev)
 	task := keysOf(k.TaskLoopID)
 	tile := k.TaskLoopID + ".tile"
 	return rule{

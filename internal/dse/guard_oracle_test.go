@@ -148,7 +148,7 @@ func TestGuardOracle(t *testing.T) {
 			sp := space.Identify(ok.k)
 			cfg := S2FAConfig(seed)
 			tally := &Outcome{}
-			guard := newGuard(pruneRules(ok.k, sp, cfg), estimate(NewEvaluator(ok.k, sp, dev, ok.tasks, hls.Options{}), nil, nil), space.NewTable(sp), tally, nil)
+			guard := newGuard(pruneRules(hls.Analyze(ok.k), sp, dev), estimate(NewEvaluator(ok.k, sp, dev, ok.tasks, hls.Options{}), nil, nil), space.NewTable(sp), tally, nil)
 			pure := NewEvaluator(ok.k, sp, dev, ok.tasks, hls.Options{})
 			served, rejected := 0, 0
 			eval := func(pt space.Point) tuner.Result {

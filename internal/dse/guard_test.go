@@ -8,10 +8,8 @@ import (
 	"sync"
 	"testing"
 
-	"s2fa/internal/access"
 	"s2fa/internal/apps"
 	"s2fa/internal/cir"
-	"s2fa/internal/depend"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
 	"s2fa/internal/space"
@@ -48,7 +46,8 @@ func TestGuardRules(t *testing.T) {
 	a, sp := swSetup(t)
 	k, _ := a.Kernel()
 	seed := sp.AreaSeed()
-	if c := access.Analyze(k).PortCap("L2"); c != 32 {
+	an := hls.Analyze(k)
+	if c := an.Access().PortCap("L2"); c != 32 {
 		t.Fatalf("S-W L2 port cap = %d, want 32 (4 direct H accesses, 128 element-ports)", c)
 	}
 	wide := widthCollapsible(t, k, sp)
@@ -65,7 +64,7 @@ func TestGuardRules(t *testing.T) {
 			// The task loop nests the while-loop traceback, so flattening
 			// it is a provable lint error (RuleFlattenVarTrip).
 			name:  "static",
-			rule:  staticRule(k, sp),
+			rule:  staticRule(an.Checker(), sp),
 			first: seed,
 			hit:   withPoint(seed, map[string]int{k.TaskLoopID + ".pipeline": space.PipeFlattenVal}),
 			pass:  withPoint(seed, map[string]int{"L2.parallel": 2}),
@@ -76,7 +75,7 @@ func TestGuardRules(t *testing.T) {
 			// serialize and share the parallel=1 sibling's report, while
 			// the pipelined wavefront is S-W's profitable design.
 			name:  "depend",
-			rule:  dependRule(depend.Analyze(k)),
+			rule:  dependRule(an.Depend()),
 			first: withPoint(seed, map[string]int{"L2.parallel": 1, "L2.pipeline": space.PipeOffVal}),
 			hit:   withPoint(seed, map[string]int{"L2.parallel": 4, "L2.pipeline": space.PipeOffVal}),
 			pass:  withPoint(seed, map[string]int{"L2.parallel": 4, "L2.pipeline": space.PipeOnVal}),
@@ -86,7 +85,7 @@ func TestGuardRules(t *testing.T) {
 			// Four direct H accesses per L2 iteration feed at most 32
 			// lanes; below the cap every factor buys real lanes.
 			name:  "access",
-			rule:  accessRule(access.Analyze(k)),
+			rule:  accessRule(an.Access()),
 			first: withPoint(seed, map[string]int{"L2.parallel": 32, "L2.pipeline": space.PipeOnVal}),
 			hit:   withPoint(seed, map[string]int{"L2.parallel": 39, "L2.pipeline": space.PipeOnVal}),
 			pass:  withPoint(seed, map[string]int{"L2.parallel": 27, "L2.pipeline": space.PipeOnVal}),
@@ -94,7 +93,7 @@ func TestGuardRules(t *testing.T) {
 		},
 		{
 			name:  "range",
-			rule:  widthRule(k, sp, fpga.VU9P()),
+			rule:  widthRule(k, sp, an.WidthModel(fpga.VU9P())),
 			first: wide.canon,
 			hit:   wide.pt,
 			pass:  wide.distinct,
@@ -172,7 +171,7 @@ func TestGuardConcurrentCallers(t *testing.T) {
 		want[i] = pure(pt)
 	}
 	out := &Outcome{}
-	guard := newGuard(pruneRules(k, sp, S2FAConfig(1)), estimate(pure, nil, nil), space.NewTable(sp), out, nil)
+	guard := newGuard(pruneRules(hls.Analyze(k), sp, fpga.VU9P()), estimate(pure, nil, nil), space.NewTable(sp), out, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -209,7 +208,7 @@ type widthCase struct{ pt, canon, distinct space.Point }
 // widest value and task-loop pipeline mode that has one.
 func widthCollapsible(t *testing.T, k *cir.Kernel, sp *space.Space) widthCase {
 	t.Helper()
-	r := widthRule(k, sp, fpga.VU9P())
+	r := widthRule(k, sp, hls.Analyze(k).WidthModel(fpga.VU9P()))
 	for w := 512; w > 8; w /= 2 {
 		for _, pipe := range []int{space.PipeOffVal, space.PipeOnVal, space.PipeFlattenVal} {
 			pt := sp.AreaSeed()
@@ -240,7 +239,7 @@ func runWithout(t *testing.T, a *apps.App, seed int64, skip string) *Outcome {
 	sp := space.Identify(k)
 	cfg := S2FAConfig(seed)
 	var rules []rule
-	for _, r := range pruneRules(k, sp, cfg) {
+	for _, r := range pruneRules(hls.Analyze(k), sp, fpga.VU9P()) {
 		if r.name != skip {
 			rules = append(rules, r)
 		}
@@ -418,7 +417,7 @@ func TestGuardCanonicalIdentity(t *testing.T) {
 	fired := map[string]int{}
 	for _, gk := range oracleKernels(t) {
 		sp := space.Identify(gk.k)
-		rules := pruneRules(gk.k, sp, S2FAConfig(1))
+		rules := pruneRules(hls.Analyze(gk.k), sp, fpga.VU9P())
 		rng := rand.New(rand.NewSource(3))
 		raw := []space.Point{sp.PerformanceSeed(), sp.AreaSeed()}
 		for i := 0; i < 60; i++ {

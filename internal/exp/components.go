@@ -44,8 +44,8 @@ type ComponentAblationResult struct {
 }
 
 // ComponentAblation runs the full S2FA flow and three single-mechanism
-// ablations per app. It reuses nothing from the Suite cache because the
-// ablated configurations are unique to this experiment.
+// ablations per app. It reuses the Suite's S2FA outcome and evaluator;
+// the ablated runs themselves are unique to this experiment.
 func ComponentAblation(s *Suite, appNames []string) (*ComponentAblationResult, error) {
 	if len(appNames) == 0 {
 		appNames = AppNames()
@@ -60,13 +60,12 @@ func ComponentAblation(s *Suite, appNames []string) (*ComponentAblationResult, e
 			return nil, err
 		}
 		run := func(mut func(*dse.Config)) *dse.Outcome {
-			eval := s.evaluator(r)
 			cfg := dse.S2FAConfig(s.Seed)
 			cfg.Device = s.Device
 			if mut != nil {
 				mut(&cfg)
 			}
-			return dse.Run(r.Kernel, r.Space, eval, cfg)
+			return dse.Run(r.Kernel, r.Space, r.eval, cfg)
 		}
 
 		full := r.S2FA // already computed by the suite

@@ -66,6 +66,10 @@ type AppResult struct {
 	BestReport hls.Report
 	// ManualReport is the HLS report of the expert manual design.
 	ManualReport hls.Report
+
+	// eval is the app's design-point evaluator. It is pure, so every
+	// DSE run on the app shares it and its one analysis of the kernel.
+	eval tuner.Evaluator
 }
 
 // S2FASpeedup is the Fig. 4 speedup of the S2FA-generated design over the
@@ -125,13 +129,14 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 			return nil, err
 		}
 		r = &AppResult{App: a, Kernel: k, Space: space.Identify(k), JVMSeconds: jvm}
+		r.eval = dse.NewEvaluator(k, r.Space, s.Device, int64(a.Tasks), hls.Options{})
 		slot.r = r
 	}
 
 	if r.S2FA == nil {
 		cfg := dse.S2FAConfig(s.Seed)
 		cfg.Device = s.Device
-		r.S2FA = dse.Run(r.Kernel, r.Space, s.evaluator(r), s.configure(cfg))
+		r.S2FA = dse.Run(r.Kernel, r.Space, r.eval, s.configure(cfg))
 		if rep, ok := dse.Report(r.S2FA.Best); ok {
 			r.BestReport = rep
 		}
@@ -144,11 +149,11 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 	}
 	if modes.Vanilla && r.Vanilla == nil {
 		// Stock OpenTuner sees no gradient in the infeasible region.
-		eval := dse.FlatInfeasible(s.evaluator(r))
+		eval := dse.FlatInfeasible(r.eval)
 		r.Vanilla = dse.Run(r.Kernel, r.Space, eval, s.configure(dse.VanillaConfig(s.Seed)))
 	}
 	if modes.Trivial && r.Trivial == nil {
-		r.Trivial = dse.Run(r.Kernel, r.Space, s.evaluator(r), s.configure(dse.TrivialStopConfig(s.Seed)))
+		r.Trivial = dse.Run(r.Kernel, r.Space, r.eval, s.configure(dse.TrivialStopConfig(s.Seed)))
 	}
 	return r, nil
 }
@@ -189,11 +194,6 @@ func (s *Suite) configure(cfg dse.Config) dse.Config {
 	cfg.Engine = s.Engine
 	cfg.Parallelism = s.Parallelism
 	return cfg
-}
-
-// evaluator builds the design-point evaluator for one app.
-func (s *Suite) evaluator(r *AppResult) tuner.Evaluator {
-	return dse.NewEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
 }
 
 // AppNames returns the workloads in Table 2 order.

@@ -92,24 +92,6 @@ func (c *Cache[K, V]) GetOrCompute(key K, f func() V) (V, bool) {
 	return e.val, false
 }
 
-// Peek returns the value for key if it has finished computing, without
-// blocking and without recording a hit.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	s.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-e.ready:
-		return e.val, true
-	default:
-		return *new(V), false
-	}
-}
-
 // Len returns the number of entries (including in-flight computations).
 func (c *Cache[K, V]) Len() int {
 	n := 0

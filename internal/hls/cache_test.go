@@ -44,32 +44,6 @@ func TestCacheComputesOncePerKey(t *testing.T) {
 	}
 }
 
-func TestCachePeek(t *testing.T) {
-	const missing, a, slow = 0, 1, 2
-	c := NewCache[int32, string](0) // default shard count
-	if _, ok := c.Peek(missing); ok {
-		t.Fatal("Peek found a missing key")
-	}
-	c.GetOrCompute(a, func() string { return "va" })
-	v, ok := c.Peek(a)
-	if !ok || v != "va" {
-		t.Fatalf("Peek(a) = %q, %v", v, ok)
-	}
-	// Peek never blocks on an in-flight entry.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go c.GetOrCompute(slow, func() string {
-		close(started)
-		<-release
-		return "done"
-	})
-	<-started
-	if _, ok := c.Peek(slow); ok {
-		t.Fatal("Peek returned an in-flight entry")
-	}
-	close(release)
-}
-
 func TestCacheSingleShard(t *testing.T) {
 	// One stripe still dedups and serves concurrent readers.
 	c := NewCache[int32, int](1)

@@ -8,6 +8,7 @@ import (
 	"s2fa/internal/cir"
 	"s2fa/internal/depend"
 	"s2fa/internal/fpga"
+	"s2fa/internal/lint"
 	"s2fa/internal/merlin"
 )
 
@@ -101,14 +102,18 @@ func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
 	return Analyze(k).Estimate(k, dev, n, opt)
 }
 
-// Analysis is the per-kernel half of estimation: the loop-nest,
-// dependence and access analyses of one kernel. None of them reads a
-// directive (merlin.Annotate only sets Loop.Opt and Param.BitWidth), so
-// the analyses of the base kernel hold for every annotation of it. An
-// Analysis is read-only once Analyze returns, so concurrent Price and
+// Analysis is the one per-kernel analysis bundle: the lint legality
+// checker, with the loop-nest and dependence analyses it holds, and the
+// access analysis. The estimator prices design points against it, and
+// the DSE's static pruner and prune-guard rules read it through its
+// accessors, so each analysis runs once per kernel. None of them reads
+// a directive (merlin.Annotate only sets Loop.Opt and Param.BitWidth),
+// so the analyses of the base kernel hold for every annotation of it.
+// An Analysis is read-only once Analyze returns, so concurrent Price and
 // Estimate calls may share it.
 type Analysis struct {
 	kernel *cir.Kernel
+	chk    *lint.Checker
 	info   *cir.KernelInfo
 	dep    *depend.Analysis
 	acc    *access.Analysis
@@ -117,16 +122,31 @@ type Analysis struct {
 	pos map[*cir.LoopInfo]int
 }
 
-// Analyze runs the analyses the estimator reads on kernel k.
+// Analyze runs the analyses of kernel k: one lint checker, whose
+// loop-nest and dependence analyses the estimator reads, and one access
+// analysis.
 func Analyze(k *cir.Kernel) *Analysis {
-	info := cir.Analyze(k)
-	a := &Analysis{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k),
+	chk := lint.NewChecker(k)
+	info := chk.Info()
+	a := &Analysis{kernel: k, chk: chk, info: info, dep: chk.Depend(), acc: access.Analyze(k),
 		pos: make(map[*cir.LoopInfo]int, len(info.All))}
 	for i, li := range info.All {
 		a.pos[li] = i
 	}
 	return a
 }
+
+// Kernel returns the analyzed kernel.
+func (a *Analysis) Kernel() *cir.Kernel { return a.kernel }
+
+// Checker returns the kernel's lint legality checker.
+func (a *Analysis) Checker() *lint.Checker { return a.chk }
+
+// Depend returns the kernel's dependence analysis.
+func (a *Analysis) Depend() *depend.Analysis { return a.dep }
+
+// Access returns the kernel's access-pattern analysis.
+func (a *Analysis) Access() *access.Analysis { return a.acc }
 
 // Directives returns the loop options and interface widths that
 // annotating the analyzed kernel with d would set, in the layout Price

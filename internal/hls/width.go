@@ -1,7 +1,6 @@
 package hls
 
 import (
-	"s2fa/internal/access"
 	"s2fa/internal/cir"
 	"s2fa/internal/fpga"
 )
@@ -47,14 +46,12 @@ type WidthModel struct {
 	widths []int
 }
 
-// NewWidthModel builds the width model of kernel k (unannotated: bit-width
-// and loop directives do not change the access profile it reads) on
-// device dev.
-func NewWidthModel(k *cir.Kernel, dev *fpga.Device) *WidthModel {
-	return &WidthModel{
-		m:      &model{Analysis: &Analysis{kernel: k, acc: access.Analyze(k)}, dev: dev},
-		widths: portWidths(k),
-	}
+// WidthModel returns the width model of the analyzed kernel on device
+// dev. Bit-width and loop directives do not change the access profile
+// it reads, so the model of the unannotated kernel holds for every
+// design point.
+func (a *Analysis) WidthModel(dev *fpga.Device) *WidthModel {
+	return &WidthModel{m: &model{Analysis: a, dev: dev}, widths: portWidths(a.kernel)}
 }
 
 // Widths returns a fresh copy of the kernel's interface widths before

@@ -25,9 +25,9 @@
 // Warn.
 //
 // Consumers: internal/b2c gates code generation on lint errors,
-// internal/merlin backs its CheckTile/CheckUnroll/CheckFlatten
-// precondition API with pass 4, internal/space and internal/dse prune the
-// design space with it, and cmd/s2fa exposes everything via -lint.
+// internal/space and internal/dse prune the design space with pass 4,
+// through the one Checker per kernel that hls.Analyze builds, and
+// cmd/s2fa exposes everything via -lint.
 package lint
 
 import (
@@ -293,8 +293,8 @@ func NewChecker(k *cir.Kernel) *Checker {
 func (c *Checker) Info() *cir.KernelInfo { return c.info }
 
 // Depend exposes the cached exact dependence analysis so downstream
-// consumers (HLS estimation, DSE pruning, -explain) reuse one computation
-// per kernel.
+// consumers (HLS estimation and DSE pruning, through hls.Analyze) reuse
+// one computation per kernel.
 func (c *Checker) Depend() *depend.Analysis { return c.dep }
 
 // subLoopVarTrip reports a descendant counted loop without a constant

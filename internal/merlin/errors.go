@@ -21,11 +21,6 @@ var (
 	// ErrNonConstantTrip: pipeline flatten must fully unroll every
 	// sub-loop, which requires compile-time-constant trip counts.
 	ErrNonConstantTrip = errors.New("non-constant trip count")
-	// ErrCarriedDependence: the loop carries a dependence that is not a
-	// recognized reduction form, so the requested parallel lanes would
-	// race (reported by the precondition checks; the transforms themselves
-	// still apply, serializing the chain).
-	ErrCarriedDependence = errors.New("carried dependence")
 	// ErrIllegalBitWidth: an interface width outside {2^n : 8 <= 2^n <=
 	// 512}, or targeting a scalar parameter.
 	ErrIllegalBitWidth = errors.New("illegal bit-width")
@@ -43,7 +38,7 @@ func IsLegality(err error) bool {
 func LegalityClass(err error) error {
 	for _, e := range []error{
 		ErrUnknownLoop, ErrUnknownParam, ErrIllegalFactor,
-		ErrNonConstantTrip, ErrCarriedDependence, ErrIllegalBitWidth,
+		ErrNonConstantTrip, ErrIllegalBitWidth,
 	} {
 		if errors.Is(err, e) {
 			return e

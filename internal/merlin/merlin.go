@@ -58,8 +58,8 @@ func (d Directives) Clone() Directives {
 // must agree. Checks run in a fixed order — k's loops in preorder, then
 // any unknown loop ID, then k's parameters in declaration order, then any
 // unknown parameter — so a set with several errors always reports the
-// same one. CheckDirectives is the static verifier's view of the same
-// set, which also rejects what HLS would find infeasible.
+// same one. lint.Checker.Directives is the static verifier's view of the
+// same set, which also rejects what HLS would find infeasible.
 func Check(k *cir.Kernel, d Directives) error {
 	known := 0
 	for _, l := range k.Loops() {

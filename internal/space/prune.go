@@ -24,9 +24,9 @@ import (
 //
 // Per-value legality is checked in isolation, which is sound because the
 // lint error rules are single-parameter predicates: they never depend on
-// the values of other parameters.
-func PruneStatic(s *Space, k *cir.Kernel) (*Space, int) {
-	chk := lint.NewChecker(k)
+// the values of other parameters. chk is the checker of the kernel s
+// was identified from.
+func PruneStatic(s *Space, chk *lint.Checker) (*Space, int) {
 	var cons []Constraint
 	removed := 0
 	for i := range s.Params {

@@ -9,6 +9,7 @@ import (
 
 	"s2fa/internal/apps"
 	"s2fa/internal/cir"
+	"s2fa/internal/lint"
 	"s2fa/internal/space"
 )
 
@@ -23,7 +24,7 @@ func TestPruneStaticSW(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := space.Identify(k)
-	pruned, n := space.PruneStatic(sp, k)
+	pruned, n := space.PruneStatic(sp, lint.NewChecker(k))
 	if n != 1 {
 		t.Fatalf("pruned %d domain values, want exactly 1 (flatten over the while traceback)", n)
 	}
@@ -79,7 +80,7 @@ func TestPruneStaticNoOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := space.Identify(k)
-		pruned, n := space.PruneStatic(sp, k)
+		pruned, n := space.PruneStatic(sp, lint.NewChecker(k))
 		if n != 0 || pruned != sp {
 			t.Errorf("%s: PruneStatic pruned %d values (same pointer: %v), want a no-op", name, n, pruned == sp)
 		}
@@ -92,7 +93,7 @@ func TestPruneStaticPreservesLegalPoints(t *testing.T) {
 	a := apps.Get("S-W")
 	k, _ := a.Kernel()
 	sp := space.Identify(k)
-	pruned, _ := space.PruneStatic(sp, k)
+	pruned, _ := space.PruneStatic(sp, lint.NewChecker(k))
 	for i := range pruned.Params {
 		p := &pruned.Params[i]
 		parent := sp.Param(p.Name)
