@@ -323,7 +323,8 @@ func BenchmarkJVMInterpreter(b *testing.B) {
 // closure-compiled template JIT. Outputs and Counts are bit-identical
 // across engines (internal/apps TestJITDifferentialAllApps); this
 // measures the wall-clock the suite stops spending on its largest
-// serial cost center.
+// serial cost center, and the allocations: a warm JIT batch allocates
+// only what escapes in its outputs.
 func BenchmarkJVMBaseline(b *testing.B) {
 	for _, a := range apps.All() {
 		a := a
@@ -335,6 +336,7 @@ func BenchmarkJVMBaseline(b *testing.B) {
 		tasks := a.Gen(rng, 8)
 		b.Run(a.Name+"/interp", func(b *testing.B) {
 			vm := jvmsim.New(cls)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := vm.CallBatch(tasks); err != nil {
@@ -347,6 +349,7 @@ func BenchmarkJVMBaseline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := vm.CallBatch(tasks); err != nil {

@@ -33,6 +33,10 @@ type Suite struct {
 	// baselines (default on, see NewSuite). Like Engine, it only trades
 	// wall-clock: the JIT preserves Counts bit-for-bit, so JVMSeconds —
 	// and every figure derived from it — is byte-identical either way.
+	// The JIT baseline of a kernel absint proves pure runs on
+	// GOMAXPROCS goroutines even in a sequential suite (see
+	// JVMSecondsForEngine); with JIT off the baseline interprets on
+	// one goroutine.
 	JIT bool
 	// Trace, when non-nil, receives per-app baseline spans and JIT
 	// compile counters.
@@ -160,8 +164,9 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 
 // Warm precomputes the named apps' artifacts concurrently — one
 // goroutine per app — when the suite runs the parallel engine; with the
-// sequential engine it is a no-op, keeping the reference path
-// single-threaded. Every app's computation is fully independent (own
+// sequential engine it is a no-op, so apps are computed one at a time
+// (only a pure kernel's JIT baseline is sharded, see Suite.JIT). Every
+// app's computation is fully independent (own
 // kernel, space, caches, RNG streams), so the results are byte-identical
 // to computing them one by one; later Result calls are cache hits.
 func (s *Suite) Warm(appNames []string, modes Modes) error {

@@ -91,7 +91,8 @@ type VM struct {
 	// Reduce, and Invoke execute through it (unless Trace is set).
 	// frCall/frReduce are the reusable frame arenas — one per method,
 	// valid because the instruction set has no method calls, so
-	// invocations never nest.
+	// invocations never nest. Each also keeps the free list of arrays
+	// its invocations allocated and did not return.
 	prog     *Program
 	frCall   *frame
 	frReduce *frame
@@ -128,8 +129,9 @@ func (vm *VM) Call(in Val) (Val, error) {
 // CallBatch invokes the class's call method on every task in order,
 // returning the per-task outputs. Semantically identical to calling
 // Call in a loop; on a JIT-enabled VM the reusable frame arena makes
-// this the compile-once/run-many fast path (zero per-task allocation
-// beyond what the kernel itself allocates).
+// this the compile-once/run-many fast path: once warm, a task allocates
+// only what escapes in its output (arrays the kernel allocates and does
+// not return are recycled for the next task).
 func (vm *VM) CallBatch(in []Val) ([]Val, error) {
 	out := make([]Val, len(in))
 	for i, t := range in {
