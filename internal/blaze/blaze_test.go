@@ -1,8 +1,11 @@
 package blaze
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"s2fa/internal/apps"
@@ -276,4 +279,110 @@ func TestReduceOverEmptyRDD(t *testing.T) {
 	if _, _, err := Wrap(rdd, mgr2).ReduceAcc(jvmsim.New(cls)); err == nil {
 		t.Error("reduce over empty RDD accepted")
 	}
+}
+
+// sameVal is bit-exact equality of JVM values.
+func sameVal(a, b jvmsim.Val) bool {
+	same := func(x, y cir.Value) bool {
+		return x.K == y.K && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F)
+	}
+	if a.IsArr != b.IsArr || a.IsTup != b.IsTup || len(a.Arr) != len(b.Arr) || len(a.Tup) != len(b.Tup) || !same(a.S, b.S) {
+		return false
+	}
+	for i := range a.Arr {
+		if !same(a.Arr[i], b.Arr[i]) {
+			return false
+		}
+	}
+	for i := range a.Tup {
+		if !sameVal(a.Tup[i], b.Tup[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcurrentOffloadsMatchSequential sends MapAcc and ReduceAcc
+// requests for several apps from several goroutines through one Manager,
+// so requests on one accelerator share its pooled encoders and
+// evaluators, and requires every result to be bit-identical to the same
+// request run alone.
+func TestConcurrentOffloadsMatchSequential(t *testing.T) {
+	dev := fpga.VU9P()
+	mgr := NewManager(dev)
+	type request struct {
+		name  string
+		tasks []jvmsim.Val
+		want  []jvmsim.Val
+	}
+	var reqs []*request
+	for _, name := range []string{"KMeans", "LR", "AES", "S-W", "KNN"} {
+		layout, a := layoutFor(t, name)
+		rep := hls.Estimate(layout.Kernel, dev, 64, hls.Options{})
+		if err := mgr.Register(&Accelerator{ID: layout.Class.ID, Layout: layout, Design: rep.Design(name)}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(12))
+		for _, n := range []int{1, 6} {
+			if name == "S-W" && n > 1 {
+				n = 2
+			}
+			reqs = append(reqs, &request{name: name, tasks: a.Gen(rng, n)})
+		}
+	}
+	send := func(r *request) ([]jvmsim.Val, error) {
+		cls, err := apps.Get(r.name).Class()
+		if err != nil {
+			return nil, err
+		}
+		rdd := Wrap(spark.Parallelize(spark.NewContext(), r.tasks, 2), mgr)
+		var out []jvmsim.Val
+		var st Stats
+		if cls.Reduce != nil {
+			var v jvmsim.Val
+			v, st, err = rdd.ReduceAcc(jvmsim.New(cls))
+			out = []jvmsim.Val{v}
+		} else {
+			out, st, err = rdd.MapAcc(jvmsim.New(cls))
+		}
+		if err == nil && !st.UsedFPGA {
+			err = fmt.Errorf("%s fell back to the JVM: %s", r.name, st.Fallback)
+		}
+		return out, err
+	}
+	for _, r := range reqs {
+		out, err := send(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.want = out
+	}
+
+	const clients, rounds = 4, 3
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(reqs); i++ {
+				r := reqs[(c*7+i)%len(reqs)]
+				out, err := send(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(out) != len(r.want) {
+					t.Errorf("client %d: %s returned %d results, want %d", c, r.name, len(out), len(r.want))
+					return
+				}
+				for j := range out {
+					if !sameVal(out[j], r.want[j]) {
+						t.Errorf("client %d: %s result %d = %v, sequential %v", c, r.name, j, out[j], r.want[j])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
