@@ -28,7 +28,9 @@ import (
 
 	"s2fa/internal/apps"
 	"s2fa/internal/b2c"
+	"s2fa/internal/blaze"
 	"s2fa/internal/ccache"
+	"s2fa/internal/cir"
 	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/fpga"
@@ -64,7 +66,7 @@ type benchReport struct {
 	// the parallel-engine numbers mean when comparing runs.
 	MaxProcs int `json:"gomaxprocs"`
 	// Fig3SequentialMS / Fig3ParallelMS are the wall-clock of one full
-	// Fig. 3 regeneration (8 apps, S2FA + vanilla DSE, JVM baselines) on
+	// Fig. 3 regeneration (every app, S2FA + vanilla DSE, JVM baselines) on
 	// each DSE engine with the JVM-baseline JIT on; Speedup is their
 	// ratio. Fig3SeqNoJITMS is the sequential run with the baselines
 	// interpreted — the pre-JIT reference wall-clock.
@@ -74,7 +76,7 @@ type benchReport struct {
 	ParallelPool     int     `json:"parallel_pool"`
 	Speedup          float64 `json:"speedup"`
 	// JVMBaselineInterpMS / JVMBaselineJITMS are the wall-clock of the
-	// suite's JVM-baseline calibration (all 8 apps) on each engine; the
+	// suite's JVM-baseline calibration (every app) on each engine; the
 	// share fields express them as a percentage of the corresponding
 	// Fig. 3 regeneration — the serial cost center the JIT shrinks.
 	JVMBaselineInterpMS float64 `json:"jvm_baseline_interp_ms"`
@@ -201,7 +203,7 @@ func fig3MS(seed int64, engine dse.Engine, pool int, jit bool) (float64, string,
 }
 
 // jvmBaselineMS times the suite's per-app JVM-baseline calibration (the
-// sample batch each AppResult executes) across all 8 workloads.
+// sample batch each AppResult executes) across every workload.
 func jvmBaselineMS(jit bool) (float64, error) {
 	start := time.Now()
 	for _, a := range apps.All() {
@@ -314,7 +316,7 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 		return nil, err
 	}
 
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}
@@ -412,6 +414,34 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 	points.ID(seedPt)
 	stage("point_identity", func() { points.ID(seedPt) })
 	stage("point_key", func() { _ = seedPt.Key() })
+
+	// The functional emulation behind a Blaze offload: one warm
+	// evaluator executing 64 KMeans tasks (the BenchmarkKernelEvaluator
+	// batch), so the stage prices execution, not compilation.
+	km := apps.Get("KMeans")
+	kmCls, err := km.Class()
+	if err != nil {
+		return nil, err
+	}
+	kmKernel, err := km.Kernel()
+	if err != nil {
+		return nil, err
+	}
+	layout := blaze.Layout{Class: kmCls, Kernel: kmKernel}
+	kmTasks := km.Gen(rand.New(rand.NewSource(5)), 64)
+	bufs, err := layout.Serialize(kmTasks)
+	if err != nil {
+		return nil, err
+	}
+	for name, out := range layout.AllocOutputs(len(kmTasks)) {
+		bufs[name] = out
+	}
+	ev := cir.NewEvaluator(kmKernel)
+	stage("cir_exec", func() {
+		if err := ev.Execute(len(kmTasks), bufs); err != nil {
+			panic(err)
+		}
+	})
 	return rep, nil
 }
 
@@ -447,7 +477,7 @@ func printScaling(curve []scalePoint) {
 // served from the content-addressed compile cache, reported as
 // kernels/sec alongside the cache's own counters.
 func runCompileBench(n int) error {
-	srcs := make([]string, 0, 8)
+	srcs := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		srcs = append(srcs, a.Source)
 	}

@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		srcPath     = flag.String("src", "", "path to a kernel class source file")
-		appName     = flag.String("app", "", "built-in workload name (PR, KMeans, KNN, LR, SVM, LLS, AES, S-W)")
+		appName     = flag.String("app", "", "built-in workload name ("+strings.Join(apps.Names(), ", ")+")")
 		dseMode     = flag.String("dse", "s2fa", "exploration mode: s2fa | vanilla | trivial")
 		par         = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
 		tasks       = flag.Int("tasks", 4096, "batch size the design is optimized for")

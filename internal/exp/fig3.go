@@ -50,7 +50,7 @@ type Fig3Result struct {
 	QoRImprovement float64
 }
 
-// Fig3 reproduces Fig. 3 for the given apps (all eight by default).
+// Fig3 reproduces Fig. 3 for the given apps (every app by default).
 func Fig3(s *Suite, appNames []string) (*Fig3Result, error) {
 	if len(appNames) == 0 {
 		appNames = AppNames()
