@@ -33,6 +33,7 @@ import (
 	"s2fa/internal/depend"
 	"s2fa/internal/dse"
 	"s2fa/internal/exp"
+	"s2fa/internal/hls"
 	"s2fa/internal/kdsl"
 	"s2fa/internal/lint"
 	"s2fa/internal/obs"
@@ -255,8 +256,13 @@ func main() {
 		if len(facts.Violations()) > 0 {
 			os.Exit(1)
 		}
-		fmt.Print(dependReport(cls, fileLabel))
-		fmt.Print(accessReport(cls, fileLabel))
+		// Kernels the C generator rejects get no analysis sections: the
+		// §3.3 report above already covers them.
+		if kernel, err := b2c.Compile(cls); err == nil {
+			an := hls.Analyze(kernel)
+			fmt.Print(dependReport(an.Depend(), fileLabel))
+			fmt.Print(accessReport(an.Access(), fileLabel))
+		}
 		return
 	}
 	if *lintOnly {
@@ -354,14 +360,8 @@ func main() {
 // legality verdict, II bound, and DSE collapse for the compiled kernel:
 // the per-loop verdict table (witness access pairs carry kdsl positions)
 // followed by "why would this factor be rejected?" guidance probing the
-// most aggressive directives on each loop. Kernels the C generator
-// rejects return nothing — the §3.3 report above already covers them.
-func dependReport(cls *bytecode.Class, fileLabel string) string {
-	kernel, err := b2c.Compile(cls)
-	if err != nil {
-		return ""
-	}
-	dep := depend.Analyze(kernel)
+// most aggressive directives on each loop.
+func dependReport(dep *depend.Analysis, fileLabel string) string {
 	var b strings.Builder
 	b.WriteString("\n")
 	b.WriteString(dep.Table())
@@ -384,14 +384,8 @@ func dependReport(cls *bytecode.Class, fileLabel string) string {
 // access-driven DSE collapse: the per-loop access table (class, stride,
 // footprint, reuse — site positions carry kdsl coordinates) followed by
 // "why is this kernel memory-bound?" guidance naming gather buffers and
-// port-capped loops. Kernels the C generator rejects return nothing —
-// the §3.3 report above already covers them.
-func accessReport(cls *bytecode.Class, fileLabel string) string {
-	kernel, err := b2c.Compile(cls)
-	if err != nil {
-		return ""
-	}
-	acc := access.Analyze(kernel)
+// port-capped loops.
+func accessReport(acc *access.Analysis, fileLabel string) string {
 	var b strings.Builder
 	b.WriteString("\n")
 	b.WriteString(acc.Table())

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"s2fa/internal/apps"
-	"s2fa/internal/kdsl"
+	"s2fa/internal/hls"
 )
 
 // TestUnknownAppMessage pins the -app rejection text: every valid
@@ -23,11 +23,7 @@ func TestUnknownAppMessage(t *testing.T) {
 // strided row hop on the outer loop, and the guidance explains the
 // traceback gathers and the BRAM port ceiling.
 func TestAccessReportSW(t *testing.T) {
-	cls, err := kdsl.CompileSource(apps.Get("S-W").Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := accessReport(cls, "S-W.kdsl")
+	out := accessReport(swAnalysis(t).Access(), "S-W.kdsl")
 	for _, want := range []string{
 		"memory access patterns",
 		"L2 [port-cap 32 lanes]",
@@ -49,11 +45,7 @@ func TestAccessReportSW(t *testing.T) {
 // a sourced witness pair, and the guidance explains why parallel lanes
 // on the cell loops need the wavefront pipeline.
 func TestDependReportSW(t *testing.T) {
-	cls, err := kdsl.CompileSource(apps.Get("S-W").Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := dependReport(cls, "S-W.kdsl")
+	out := dependReport(swAnalysis(t).Depend(), "S-W.kdsl")
 	for _, want := range []string{
 		"loop dependence verdicts",
 		"witness:",
@@ -66,4 +58,15 @@ func TestDependReportSW(t *testing.T) {
 			t.Errorf("dependReport missing %q in:\n%s", want, out)
 		}
 	}
+}
+
+// swAnalysis compiles the Smith-Waterman workload and analyzes it, as
+// -explain does.
+func swAnalysis(t *testing.T) *hls.Analysis {
+	t.Helper()
+	k, err := apps.Get("S-W").Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hls.Analyze(k)
 }

@@ -82,8 +82,9 @@ type Outcome struct {
 	// range rule); the value-range facts and the estimator's width model
 	// prove the points indistinguishable.
 	RangeCollapsed int
-	// RangeRestrictedValues counts bit-width domain values
-	// space.RestrictFromRanges proved dominated by a narrower width.
+	// RangeRestrictedValues counts bit-width domain values of
+	// proven-range buffers that the estimator's width model
+	// (hls.WidthModel.Saturates) proves dominated by a narrower width.
 	RangeRestrictedValues int
 	// StopReason records what ended the run: entropy-converged,
 	// budget-exhausted, or space-exhausted.

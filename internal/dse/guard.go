@@ -65,16 +65,16 @@ type rule struct {
 // guardEvaluator puts inner behind the prune guard: the rule table when
 // cfg.Prune is set, the identity row always. With cfg.Prune it analyzes
 // k once (hls.Analyze), builds every rule from that analysis, and
-// records on out how many domain values the static and range analyses
-// would drop (the space itself is left intact: shrinking it would
-// change the partitions and so the whole search). points is the run's
-// point table.
+// records on out how many domain values the static pruner would drop
+// and how many the width model proves dominated (the space itself is
+// left intact: shrinking it would change the partitions and so the
+// whole search). points is the run's point table.
 func guardEvaluator(k *cir.Kernel, sp *space.Space, points *space.Table, inner func(space.Point, space.ID) tuner.Result, cfg Config, out *Outcome) tuner.Evaluator {
 	var rules []rule
 	if cfg.Prune {
 		an := hls.Analyze(k)
 		_, out.PrunedDomainValues = space.PruneStatic(sp, an.Checker())
-		_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, cfg.device())
+		out.RangeRestrictedValues = dominatedWidths(k, sp, an.WidthModel(cfg.device()))
 		rules = pruneRules(an, sp, cfg.device())
 	}
 	return newGuard(rules, inner, points, out, cfg.Trace)
@@ -288,6 +288,78 @@ func accessRule(acc *access.Analysis) rule {
 	}
 }
 
+// widthFactor is one bit-width factor of the explored space: the
+// factor, the index of its buffer in k.Params, and whether the abstract
+// interpreter proved the buffer's value range (cir.Param.ValKnown).
+type widthFactor struct {
+	p      *space.Param
+	param  int
+	proven bool
+}
+
+// widthFactors returns sp's bit-width factors over kernel k, in
+// sp.Params order.
+func widthFactors(k *cir.Kernel, sp *space.Space) []widthFactor {
+	var factors []widthFactor
+	for i := range sp.Params {
+		if sp.Params[i].Kind != space.FactorBitWidth {
+			continue
+		}
+		for j, p := range k.Params {
+			if p.Name == sp.Params[i].Buffer {
+				factors = append(factors, widthFactor{p: &sp.Params[i], param: j, proven: p.ValKnown})
+			}
+		}
+	}
+	return factors
+}
+
+// saturatingOrds returns, for each of the factors, the ordinal of its
+// narrowest domain value at which the width model reports the buffer
+// saturated (hls.WidthModel.Saturates), or -1 when none does or the
+// buffer's range is unproven. The other width factors sit at their
+// narrowest domain values and the remaining arrays at their element
+// widths; widening any of them keeps a saturated buffer saturated, so
+// every domain value above the returned one is dominated on every
+// design point.
+func saturatingOrds(factors []widthFactor, wm *hls.WidthModel) []int {
+	widths := wm.Widths()
+	for _, f := range factors {
+		widths[f.param] = f.p.ValueAt(0)
+	}
+	ords := make([]int, len(factors))
+	for i, f := range factors {
+		ords[i] = -1
+		if !f.proven {
+			continue
+		}
+		for ord := 0; ord < f.p.Size(); ord++ {
+			widths[f.param] = f.p.ValueAt(ord)
+			if wm.Saturates(widths, f.param) {
+				ords[i] = ord
+				break
+			}
+		}
+		widths[f.param] = f.p.ValueAt(0)
+	}
+	return ords
+}
+
+// dominatedWidths counts the bit-width domain values of sp that are
+// wider than their buffer's saturating width (saturatingOrds): widening
+// past it cannot speed the design up, while the wider port pays more
+// area. wm is k's width model.
+func dominatedWidths(k *cir.Kernel, sp *space.Space, wm *hls.WidthModel) int {
+	factors := widthFactors(k, sp)
+	n := 0
+	for i, ord := range saturatingOrds(factors, wm) {
+		if ord >= 0 {
+			n += factors[i].p.Size() - 1 - ord
+		}
+	}
+	return n
+}
+
 // widthRule lowers each proven-range buffer's interface width to the
 // narrowest domain value the estimator's width model
 // (hls.WidthModel.Equivalent) cannot tell from it, one buffer at a time
@@ -296,22 +368,7 @@ func accessRule(acc *access.Analysis) rule {
 // (cir.Param.ValKnown), and on an untiled task loop. wm is k's width
 // model.
 func widthRule(k *cir.Kernel, sp *space.Space, wm *hls.WidthModel) rule {
-	type factor struct {
-		p      *space.Param
-		param  int // index into k.Params
-		proven bool
-	}
-	var factors []factor
-	for i := range sp.Params {
-		if sp.Params[i].Kind != space.FactorBitWidth {
-			continue
-		}
-		for j, p := range k.Params {
-			if p.Name == sp.Params[i].Buffer {
-				factors = append(factors, factor{p: &sp.Params[i], param: j, proven: p.ValKnown})
-			}
-		}
-	}
+	factors := widthFactors(k, sp)
 	task := keysOf(k.TaskLoopID)
 	tile := k.TaskLoopID + ".tile"
 	return rule{

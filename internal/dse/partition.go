@@ -71,7 +71,6 @@ func (p Partition) Space(full *space.Space) *space.Space {
 // CandidateRules derives the rule pool for a kernel from its loop
 // hierarchy and RDD pattern.
 func CandidateRules(s *space.Space, k *cir.Kernel) []Rule {
-	info := cir.Analyze(k)
 	var rules []Rule
 	for i := range s.Params {
 		p := &s.Params[i]
@@ -102,7 +101,6 @@ func CandidateRules(s *space.Space, k *cir.Kernel) []Rule {
 				rules = append(rules, Rule{Param: p.Name, SplitOrd: size / 2, Why: "interface-width"})
 			}
 		}
-		_ = info
 	}
 	return rules
 }

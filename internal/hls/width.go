@@ -38,9 +38,10 @@ func ifaceLanes(w int) int {
 }
 
 // WidthModel answers, for one kernel, which interface widths the
-// estimator cannot tell apart. It shares the estimator's width model
-// rather than mirroring it, so a width it calls equivalent yields a
-// bit-identical report.
+// estimator cannot tell apart and which it prices no better than a
+// narrower one. It shares the estimator's width model rather than
+// mirroring it, so a width it calls equivalent yields a bit-identical
+// report.
 type WidthModel struct {
 	m      *model
 	widths []int
@@ -59,6 +60,28 @@ func (a *Analysis) WidthModel(dev *fpga.Device) *WidthModel {
 // entries their design point sets and pass the slice to Equivalent.
 func (e *WidthModel) Widths() []int {
 	return append([]int(nil), e.widths...)
+}
+
+// Saturates reports whether parameter i's width widths[i] already makes
+// any wider value of it dominated, given the other interfaces' widths
+// (indexed like k.Params). Two conditions must hold. The aggregate
+// interface throughput reaches the DDR channel cap, so unpipelined burst
+// transfers see the cap either way. And parameter i's own port, at one
+// task-loop lane, streams its per-task payload (its staged footprint;
+// nothing for a gather-only buffer) no slower than the channel floor, so
+// the port never binds the memory initiation interval. Widening any one
+// port keeps both true, while its BRAM/LUT lanes only grow.
+func (e *WidthModel) Saturates(widths []int, i int) bool {
+	if e.m.interfaceBytesPerCycle(widths) < float64(e.m.dev.DDRBytesPerCycle) {
+		return false
+	}
+	p := &e.m.kernel.Params[i]
+	if e.m.gatherOnly(p) != nil {
+		return true
+	}
+	_, floor, _ := e.m.memCycles(widths, 1)
+	bytes := e.m.stagedElems(p) * float64(p.Elem.Bits()) / 8
+	return bytes/(float64(widths[i])/8) <= floor
 }
 
 // Equivalent reports whether a design whose interfaces have the given
