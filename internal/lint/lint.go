@@ -263,10 +263,11 @@ type Checker struct {
 
 // NewChecker analyzes k once and returns a reusable legality checker.
 func NewChecker(k *cir.Kernel) *Checker {
+	dep := depend.Analyze(k)
 	c := &Checker{
 		k:              k,
-		info:           cir.Analyze(k),
-		dep:            depend.Analyze(k),
+		info:           dep.Info,
+		dep:            dep,
 		flattenVarTrip: map[string]string{},
 		flattenCarried: map[string]string{},
 		race:           map[string]string{},

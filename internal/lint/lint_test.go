@@ -485,40 +485,3 @@ func TestFindingsHelpers(t *testing.T) {
 		}
 	}
 }
-
-func TestReductionForm(t *testing.T) {
-	add := func(l, r cir.Expr) *cir.Binary { return &cir.Binary{K: cir.Int, Op: cir.Add, L: l, R: r} }
-	idx := func(i cir.Expr) *cir.Index { return &cir.Index{K: cir.Int, Arr: "in", Idx: i} }
-
-	l := counted("L1", "i", 8, cir.Block{
-		&cir.Assign{LHS: ref("s"), RHS: add(ref("s"), idx(ref("i")))},
-	})
-	if acc, _, ok := ReductionForm(l); !ok || acc != "s" {
-		t.Errorf("canonical reduction not recognized: acc=%q ok=%v", acc, ok)
-	}
-
-	// Commuted operand order also matches.
-	l2 := counted("L1", "i", 8, cir.Block{
-		&cir.Assign{LHS: ref("s"), RHS: add(idx(ref("i")), ref("s"))},
-	})
-	if _, _, ok := ReductionForm(l2); !ok {
-		t.Error("commuted reduction not recognized")
-	}
-
-	// A second read of the accumulator disqualifies it.
-	l3 := counted("L1", "i", 8, cir.Block{
-		&cir.Assign{LHS: ref("s"), RHS: add(ref("s"), idx(ref("i")))},
-		&cir.Assign{LHS: &cir.Index{K: cir.Int, Arr: "out", Idx: intLit(0)}, RHS: ref("s")},
-	})
-	if _, _, ok := ReductionForm(l3); ok {
-		t.Error("reduction with extra accumulator use accepted")
-	}
-
-	// Multiplicative recurrences are not additive reductions.
-	l4 := counted("L1", "i", 8, cir.Block{
-		&cir.Assign{LHS: ref("s"), RHS: &cir.Binary{K: cir.Int, Op: cir.Mul, L: ref("s"), R: intLit(2)}},
-	})
-	if _, _, ok := ReductionForm(l4); ok {
-		t.Error("multiplicative recurrence accepted as reduction")
-	}
-}

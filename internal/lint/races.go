@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"s2fa/internal/cir"
 	"s2fa/internal/depend"
 )
 
@@ -26,20 +25,6 @@ import (
 // recurrences. The depend apps-agreement test pins these to cir's
 // conservative heuristic on every workload, which keeps the warning text
 // byte-identical to the pre-verdict implementation.
-
-// ReductionForm recognizes the canonical additive reduction body. It is
-// the shared legality predicate behind merlin's tree-reduction transform
-// and the lint race detector; the implementation lives in
-// internal/depend.
-func ReductionForm(l *cir.Loop) (acc string, addend cir.Expr, ok bool) {
-	return depend.ReductionForm(l)
-}
-
-// StmtMentions counts occurrences of the named scalar in a statement
-// (reads and writes alike). Delegates to internal/depend.
-func StmtMentions(s cir.Stmt, name string) int {
-	return depend.StmtMentions(s, name)
-}
 
 // raceDetail describes the loop's carried dependence that is not covered
 // by the reduction transform, or "" when parallel lanes are

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"s2fa/internal/cir"
-	"s2fa/internal/lint"
+	"s2fa/internal/depend"
 )
 
 // TileLoop splits the loop with the given ID into an outer tile loop
@@ -63,7 +63,7 @@ func UnrollLoop(k *cir.Kernel, id string, factor int) error {
 	if factor < 2 {
 		return fmt.Errorf("merlin: parallel: factor %d must be >= 2: %w", factor, ErrIllegalFactor)
 	}
-	if acc, rhs, ok := lint.ReductionForm(l); ok {
+	if acc, rhs, ok := depend.ReductionForm(l); ok {
 		return unrollReduction(k, l, factor, acc, rhs)
 	}
 	return unrollPlain(l, factor)
