@@ -137,8 +137,8 @@ func (b *fuzzBuilder) values(n int, k cir.Kind) []cir.Value {
 	return out
 }
 
-// block draws min to min+2 statements. A Loop body is never empty, so
-// every loop iteration costs at least one step and the step budget
+// block draws min to min+2 statements. Every loop iteration costs at
+// least one step, an empty Loop body included, so the step budget
 // bounds every kernel.
 func (b *fuzzBuilder) block(depth, min int) cir.Block {
 	var out cir.Block
@@ -183,7 +183,7 @@ func (b *fuzzBuilder) stmt(depth int) cir.Stmt {
 		return s
 	case 7:
 		return &cir.Loop{ID: "L", Var: fuzzScalars[1+b.pick(5)], Lo: b.expr(1), Hi: b.expr(2),
-			Step: int64(b.pick(4)) - 1, Body: b.block(depth-1, 1)}
+			Step: int64(b.pick(4)) - 1, Body: b.block(depth-1, 0)}
 	default:
 		return &cir.While{Cond: b.expr(2), Body: b.block(depth-1, 0)}
 	}

@@ -18,8 +18,9 @@ type refEvaluator struct {
 	kernel  *cir.Kernel
 	scalars map[string]cir.Value
 	arrays  map[string][]cir.Value
-	// Steps counts executed statements, as a cheap sanity metric and an
-	// infinite-loop guard for property tests.
+	// Steps counts executed statements (plus one per completed While
+	// iteration and one per iteration of a Loop with an empty body), as a
+	// cheap sanity metric and an infinite-loop guard for property tests.
 	Steps    int64
 	MaxSteps int64
 }
@@ -135,6 +136,12 @@ func (ev *refEvaluator) stmt(s cir.Stmt) (ctrl, error) {
 				break
 			}
 			ev.scalars[s.Var] = cir.IntVal(cir.Int, i)
+			if len(s.Body) == 0 {
+				ev.Steps++
+				if ev.Steps > ev.MaxSteps {
+					return ctrlNone, fmt.Errorf("cir: step budget exceeded (%d)", ev.MaxSteps)
+				}
+			}
 			c, err := ev.block(s.Body)
 			if err != nil {
 				return ctrlNone, err
