@@ -14,9 +14,10 @@
 //     bytecode source map back to kdsl line:column positions.
 //
 // Downstream, b2c consumes the proven value ranges and array extents to
-// seed cir bit-width inference, space.RestrictFromRanges shrinks Table 1
-// bit-width domains before DSE, lint drops bounds warnings the intervals
-// disprove, and blaze gates offload on the purity summary.
+// seed cir bit-width inference (and marks the proven buffers
+// cir.Param.ValKnown, which gates the DSE's width rule and its count of
+// dominated Table 1 bit-width values), lint drops bounds warnings the
+// intervals disprove, and blaze gates offload on the purity summary.
 package absint
 
 import (

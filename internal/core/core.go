@@ -54,10 +54,8 @@ type Framework struct {
 	Scratch *compile.Scratch
 	// Cache, when set, is the content-addressed compile cache: Compile
 	// serves repeated kernels from it (a hit skips the frontend and b2c
-	// entirely), BuildFromClass reuses its cached dependence/access
-	// analyses for the DSE collapse guards, and Deploy pre-seeds the
-	// Blaze purity gate from its cached facts. Cached and fresh runs are
-	// byte-identical.
+	// entirely), and Deploy pre-seeds the Blaze purity gate from its
+	// cached facts. Cached and fresh runs are byte-identical.
 	Cache *ccache.Cache
 }
 
