@@ -102,17 +102,24 @@ func (m *Manager) purityGate(cls *bytecode.Class) string {
 	if d, ok := m.purity[cls]; ok {
 		return d
 	}
-	d := ""
-	facts, err := absint.AnalyzeClass(cls)
-	switch {
-	case err != nil:
+	var d string
+	if facts, err := absint.AnalyzeClass(cls); err != nil {
 		d = "purity analysis failed: " + err.Error()
-	case !facts.Pure():
-		d = fmt.Sprintf("kernel is impure, offload would drop the side effect at %s",
-			facts.Impurities()[0])
+	} else {
+		d = purityVerdict(facts)
 	}
 	m.purity[cls] = d
 	return d
+}
+
+// purityVerdict is the purity gate's verdict on a class with the given
+// facts: "" when it is side-effect free, else the first side effect.
+func purityVerdict(facts *absint.ClassFacts) string {
+	if facts.Pure() {
+		return ""
+	}
+	return fmt.Sprintf("kernel is impure, offload would drop the side effect at %s",
+		facts.Impurities()[0])
 }
 
 // SeedPurity pre-seeds the purity-verdict cache for cls from facts the
@@ -123,15 +130,9 @@ func (m *Manager) purityGate(cls *bytecode.Class) string {
 func (m *Manager) SeedPurity(cls *bytecode.Class, facts *absint.ClassFacts) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.purity[cls]; ok {
-		return
+	if _, ok := m.purity[cls]; !ok {
+		m.purity[cls] = purityVerdict(facts)
 	}
-	d := ""
-	if !facts.Pure() {
-		d = fmt.Sprintf("kernel is impure, offload would drop the side effect at %s",
-			facts.Impurities()[0])
-	}
-	m.purity[cls] = d
 }
 
 // Device returns the managed FPGA.

@@ -117,7 +117,7 @@ const (
 	// EngineParallel also pre-proposes each worker's next iteration as
 	// soon as the previous one is absorbed and hands its points to a
 	// pool of real goroutines, so evaluations overlap across workers;
-	// the scheduler reads their values from the pool's cache. The
+	// the scheduler takes each value from the point's pool slot. The
 	// evaluator handed to Run must then be safe for concurrent callers
 	// (NewEvaluator is).
 	EngineParallel
@@ -240,9 +240,9 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	var pool *evalPool
 	var prefetch func(space.Point)
 	if cfg.Engine == EngineParallel {
-		pool = newEvalPool(cfg.poolSize(), k.Name, eval, points)
+		pool = newEvalPool(cfg.poolSize(), k.Name, eval)
 		defer pool.close(cfg.Trace)
-		prefetch = pool.prefetch
+		prefetch = func(pt space.Point) { pool.prefetch(points.ID(pt), pt, -1) }
 	}
 	eval = guardEvaluator(k, sp, points, estimate(eval, pool, cfg.Trace), cfg, out)
 	parts := []Partition{{}}
@@ -290,7 +290,7 @@ type scheduler struct {
 	// sp is the full space; a worker searches its partition's sub-box.
 	sp *space.Space
 	// points is the run's point table: every driver, the prune guard
-	// and the parallel engine's cache identify points in it.
+	// and the parallel engine's slots identify points in it.
 	points   *space.Table
 	parts    []Partition
 	eval     tuner.Evaluator
@@ -371,14 +371,14 @@ func (s *scheduler) prepare(w *worker) {
 		w.pendingSeed = w.seeds[0]
 		w.seeds = w.seeds[1:]
 		if s.pool != nil {
-			s.pool.prefetchPart(s.points.ID(w.pendingSeed), w.pendingSeed, w.part)
+			s.pool.prefetch(s.points.ID(w.pendingSeed), w.pendingSeed, w.part)
 		}
 		return
 	}
 	w.pendingProps = w.driver.Propose(s.cfg.BatchPerIter)
 	if s.pool != nil {
 		for _, p := range w.pendingProps {
-			s.pool.prefetchPart(p.ID, p.Point, w.part)
+			s.pool.prefetch(p.ID, p.Point, w.part)
 		}
 	}
 }

@@ -69,8 +69,8 @@ func pureEval(an *hls.Analysis, k *cir.Kernel, sp *space.Space, dev *fpga.Device
 // "hls"/"estimate" span (cache=fresh) that closes with the synthesis
 // minutes, the feasibility verdict and the bottleneck. The value comes
 // from the pure evaluator, inline, or under EngineParallel from the
-// pool's shared cache by the point's ID (pool != nil), whichever
-// goroutine computed it. With tr == nil nothing is traced.
+// point's pool slot by its ID (pool != nil), whichever goroutine
+// computed it. With tr == nil nothing is traced.
 func estimate(eval tuner.Evaluator, pool *evalPool, tr *obs.Trace) func(space.Point, space.ID) tuner.Result {
 	return func(pt space.Point, id space.ID) tuner.Result {
 		var span *obs.Span

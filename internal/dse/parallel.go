@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"s2fa/internal/hls"
 	"s2fa/internal/obs"
 	"s2fa/internal/space"
 	"s2fa/internal/tuner"
@@ -29,11 +28,15 @@ import (
 //
 //   - the scheduler announces upcoming points (training samples, seeds,
 //     each worker's next iteration, pre-proposed as soon as the previous
-//     one is absorbed) and a pool of Parallelism goroutines computes
-//     their pure evaluations into a shared sharded cache (hls.Cache);
-//   - the chain's fresh-estimate step reads the value from that cache by
-//     ID, computing it inline if the pool has not finished (or never
-//     saw) the point, so the pool can only help, never change anything.
+//     one is absorbed), each point once, and a pool of Parallelism
+//     goroutines computes their pure evaluations into one slot per
+//     announced point;
+//   - the chain's fresh-estimate step fetches the value from the
+//     point's slot, computing it inline if no pool worker has claimed
+//     it (or the point was never announced), so the pool can only help,
+//     never change anything. The fetch hands the value over to the
+//     prune guard's identity row, which is the run's one memo: the slot
+//     keeps nothing once it has been fetched.
 //
 // Pre-proposing is sound because a driver's proposals depend only on
 // its own worker-local state (bandit, RNG, result DB), all of which is
@@ -56,26 +59,33 @@ func (c Config) poolSize() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// poolJob is one speculative evaluation request for the point pt with
-// identity id. part is the partition index the proposing worker held
-// (-1 when unknown, e.g. training samples dispatched before assignment),
-// carried only as a pprof label.
+// slot is one announced point's evaluation. Whoever wins claimed
+// computes the value: a pool worker, which stores it in res and closes
+// done, or the scheduler's fetch inline.
+type slot struct {
+	claimed atomic.Bool
+	done    chan struct{}
+	res     tuner.Result
+}
+
+// poolJob is one speculative evaluation request for the point pt,
+// whose value goes to s. part is the partition index the proposing
+// worker held (-1 when unknown, e.g. training samples dispatched before
+// assignment), carried only as a pprof label.
 type poolJob struct {
-	id   space.ID
+	s    *slot
 	pt   space.Point
 	part int
 	enq  time.Time
 }
 
-// evalPool runs pure evaluations on real goroutines, memoized in a
-// sharded cache the scheduler reads results from. The cache keys
-// on the run's point table; only the scheduler computes IDs, and
-// jobs carry theirs to the pool.
+// evalPool runs pure evaluations on real goroutines, one slot per
+// announced point. Only the scheduler's goroutine announces, fetches
+// and touches slots; pool workers reach a slot only through its job.
 type evalPool struct {
 	pure   tuner.Evaluator
 	kernel string // pprof label value attributing samples to the app
-	points *space.Table
-	cache  *hls.Cache[space.ID, tuner.Result]
+	slots  map[space.ID]*slot
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -85,23 +95,25 @@ type evalPool struct {
 
 	started    time.Time
 	dispatched atomic.Int64
+	misses     atomic.Int64 // pure evaluations run, by pool workers or inline
 	queueWait  atomic.Int64 // ns jobs spent queued before a pool worker picked them up
 	busyNS     []int64      // per pool worker; written only by that worker, read after wg.Wait
 
 	// Scheduler-goroutine-only fetch accounting.
 	fetched      int
+	hits         int // fetches that found a finished value
+	contended    int // fetches that waited on a pool worker
 	mergeStallNS int64
 }
 
-func newEvalPool(workers int, kernel string, pure tuner.Evaluator, points *space.Table) *evalPool {
+func newEvalPool(workers int, kernel string, pure tuner.Evaluator) *evalPool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &evalPool{
 		pure:   pure,
 		kernel: kernel,
-		points: points,
-		cache:  hls.NewCache[space.ID, tuner.Result](hls.DefaultCacheShards),
+		slots:  map[space.ID]*slot{},
 		busyNS: make([]int64, workers),
 		//determinism:allow telemetry-only: pool wall time never reaches results
 		started: time.Now(),
@@ -121,21 +133,23 @@ func newEvalPool(workers int, kernel string, pure tuner.Evaluator, points *space
 	return p
 }
 
-// prefetch queues pt for speculative evaluation with no partition
-// attribution (training samples, partition probes).
-func (p *evalPool) prefetch(pt space.Point) { p.prefetchPart(p.points.ID(pt), pt, -1) }
-
-// prefetchPart queues pt, whose identity is id, for speculative
-// evaluation. Never blocks: the queue is unbounded so the merge
-// goroutine can always run ahead.
-func (p *evalPool) prefetchPart(id space.ID, pt space.Point, part int) {
+// prefetch queues pt, whose identity is id, for speculative evaluation
+// unless it was already announced. part is the proposing worker's
+// partition (-1: none). Never blocks: the queue is unbounded so the
+// scheduler can always run ahead.
+func (p *evalPool) prefetch(id space.ID, pt space.Point, part int) {
+	if _, ok := p.slots[id]; ok {
+		return
+	}
+	s := &slot{done: make(chan struct{})}
+	p.slots[id] = s
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
 	//determinism:allow telemetry-only: queue-wait timing never reaches results
-	p.queue = append(p.queue, poolJob{id: id, pt: pt, part: part, enq: time.Now()})
+	p.queue = append(p.queue, poolJob{s: s, pt: pt, part: part, enq: time.Now()})
 	p.mu.Unlock()
 	p.cond.Signal()
 	p.dispatched.Add(1)
@@ -156,11 +170,14 @@ func (p *evalPool) worker(ctx context.Context, i int) {
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 		p.queueWait.Add(time.Since(j.enq).Nanoseconds())
+		if !j.s.claimed.CompareAndSwap(false, true) {
+			continue // the scheduler is computing it inline
+		}
 		t0 := time.Now() //determinism:allow telemetry-only: worker busy time never reaches results
-		// GetOrCompute dedups against other pool workers and against the
-		// scheduler computing the same point inline.
 		compute := func(context.Context) {
-			p.cache.GetOrCompute(j.id, func() tuner.Result { return p.pure(j.pt) })
+			p.misses.Add(1)
+			j.s.res = p.pure(j.pt)
+			close(j.s.done)
 		}
 		if j.part >= 0 {
 			pprof.Do(ctx, pprof.Labels("s2fa_partition", strconv.Itoa(j.part)), compute)
@@ -171,14 +188,29 @@ func (p *evalPool) worker(ctx context.Context, i int) {
 	}
 }
 
-// fetch returns the pure evaluation of pt, whose identity is id, from
-// the shared cache, computing it inline when no pool worker has (or is
-// about to). Only the scheduler's goroutine calls it, once per fresh
-// estimation.
+// fetch returns the pure evaluation of pt, whose identity is id,
+// computing it inline when pt was never announced or no pool worker
+// has claimed it, and clears the slot: the caller holds the only copy
+// from then on. Only the scheduler's goroutine calls it, at most once
+// per ID (the prune guard's identity row serves every repeat).
 func (p *evalPool) fetch(id space.ID, pt space.Point) tuner.Result {
 	p.fetched++
 	t0 := time.Now() //determinism:allow telemetry-only: merge-stall timing never reaches results
-	r, _ := p.cache.GetOrCompute(id, func() tuner.Result { return p.pure(pt) })
+	s := p.slots[id]
+	var r tuner.Result
+	if s == nil || s.claimed.CompareAndSwap(false, true) {
+		p.misses.Add(1)
+		r = p.pure(pt)
+	} else {
+		select {
+		case <-s.done:
+			p.hits++
+		default:
+			p.contended++
+			<-s.done
+		}
+		r, s.res = s.res, tuner.Result{}
+	}
 	p.mergeStallNS += time.Since(t0).Nanoseconds()
 	return r
 }
@@ -197,15 +229,15 @@ func (p *evalPool) close(tr *obs.Trace) {
 		return
 	}
 	elapsed := time.Since(p.started).Nanoseconds()
-	st := p.cache.Stats()
+	misses := p.misses.Load()
 	tr.Count("dse.par.dispatched", p.dispatched.Load())
 	tr.Count("dse.par.abandoned", int64(abandoned))
-	tr.Count("dse.par.cache.hits", st.Hits)
-	tr.Count("dse.par.cache.misses", st.Misses)
-	tr.Count("dse.par.cache.contended", st.Contended)
-	// Keys computed but never fetched: pruned, collapsed, or abandoned
+	tr.Count("dse.par.cache.hits", int64(p.hits))
+	tr.Count("dse.par.cache.misses", misses)
+	tr.Count("dse.par.cache.contended", int64(p.contended))
+	// Points computed but never fetched: pruned, collapsed, or abandoned
 	// proposals. This is the price of speculation, in estimations.
-	tr.Count("dse.par.speculative_waste", st.Misses-int64(p.fetched))
+	tr.Count("dse.par.speculative_waste", misses-int64(p.fetched))
 	tr.Count("dse.par.queue_wait_us", p.queueWait.Load()/1000)
 	tr.Count("dse.par.merge_stall_us", p.mergeStallNS/1000)
 	for i, ns := range p.busyNS {

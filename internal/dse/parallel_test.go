@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -263,6 +264,8 @@ func TestParallelEmitsPoolCounters(t *testing.T) {
 		"dse.par.dispatched",
 		"dse.par.cache.hits",
 		"dse.par.cache.misses",
+		"dse.par.cache.contended",
+		"dse.par.abandoned",
 		"dse.par.speculative_waste",
 		"dse.par.queue_wait_us",
 		"dse.par.merge_stall_us",
@@ -280,6 +283,21 @@ func TestParallelEmitsPoolCounters(t *testing.T) {
 	if got["dse.par.speculative_waste"] < 0 {
 		t.Errorf("speculative waste negative: %d", got["dse.par.speculative_waste"])
 	}
+	// Every fresh estimation fetches once: a hit, a contended wait, or
+	// an inline computation. The rest of the misses are pool-worker
+	// computations, at least one per hit or wait and at most one per
+	// job a worker picked up; waste is what was never fetched.
+	fetched := got["hls.estimations"]
+	hits, contended, misses := got["dse.par.cache.hits"], got["dse.par.cache.contended"], got["dse.par.cache.misses"]
+	inline := fetched - hits - contended
+	byWorkers := misses - inline
+	if inline < 0 || byWorkers < hits+contended || byWorkers > got["dse.par.dispatched"]-got["dse.par.abandoned"] {
+		t.Errorf("counters do not add up: fetched %d, hits %d, contended %d, misses %d, dispatched %d, abandoned %d",
+			fetched, hits, contended, misses, got["dse.par.dispatched"], got["dse.par.abandoned"])
+	}
+	if waste := got["dse.par.speculative_waste"]; waste != misses-fetched {
+		t.Errorf("speculative waste %d, want misses %d - fetched %d", waste, misses, fetched)
+	}
 }
 
 type discardSink struct{}
@@ -289,18 +307,119 @@ func (discardSink) Close() error   { return nil }
 
 // TestEvalPoolCloseAbandonsQueue floods the pool and closes it
 // immediately: close must return promptly (workers abandon the backlog)
-// and never deadlock.
+// and never deadlock. Repeated points are announced once.
 func TestEvalPoolCloseAbandonsQueue(t *testing.T) {
 	sp := space.Identify(kernelFor(t))
+	points := space.NewTable(sp)
 	pure := syntheticPure(1, nil)
-	p := newEvalPool(2, "test", pure, space.NewTable(sp))
+	p := newEvalPool(2, "test", pure)
 	rng := rand.New(rand.NewSource(1))
+	distinct := map[space.ID]bool{}
 	for i := 0; i < 500; i++ {
-		p.prefetch(sp.RandomPoint(rng))
+		pt := sp.RandomPoint(rng)
+		id := points.ID(pt)
+		distinct[id] = true
+		p.prefetch(id, pt, -1)
 	}
 	p.close(nil)
-	if p.dispatched.Load() != 500 {
-		t.Fatalf("dispatched = %d", p.dispatched.Load())
+	if got := p.dispatched.Load(); got != int64(len(distinct)) {
+		t.Fatalf("dispatched = %d, want %d distinct points", got, len(distinct))
+	}
+}
+
+// TestEvalPoolAnnouncesOnce checks that announcing an ID twice
+// dispatches one job.
+func TestEvalPoolAnnouncesOnce(t *testing.T) {
+	sp := space.Identify(kernelFor(t))
+	points := space.NewTable(sp)
+	p := newEvalPool(1, "test", syntheticPure(1, nil))
+	pt := sp.AreaSeed()
+	id := points.ID(pt)
+	p.prefetch(id, pt, -1)
+	p.prefetch(id, pt, 3)
+	r := p.fetch(id, pt)
+	p.close(nil)
+	if got := p.dispatched.Load(); got != 1 {
+		t.Fatalf("dispatched = %d, want 1", got)
+	}
+	if got := p.misses.Load(); got != 1 {
+		t.Fatalf("misses = %d, want 1", got)
+	}
+	if r.Point.Key() != pt.Key() {
+		t.Fatalf("fetched %v, want %v", r.Point, pt)
+	}
+}
+
+// TestEvalPoolComputesOncePerSlot races pool workers against fetch on
+// every slot: each point is announced and fetched at once, so either
+// side may claim it, and the value must be computed exactly once and
+// be the pure one. Run it under -race.
+func TestEvalPoolComputesOncePerSlot(t *testing.T) {
+	sp := space.Identify(kernelFor(t))
+	points := space.NewTable(sp)
+	pure := syntheticPure(1, nil)
+	var mu sync.Mutex
+	calls := map[string]int{}
+	counted := func(pt space.Point) tuner.Result {
+		mu.Lock()
+		calls[pt.Key()]++
+		mu.Unlock()
+		return pure(pt)
+	}
+	p := newEvalPool(4, "test", counted)
+	rng := rand.New(rand.NewSource(2))
+	fetched := map[space.ID]bool{}
+	for i := 0; i < 300; i++ {
+		pt := sp.RandomPoint(rng)
+		id := points.ID(pt)
+		p.prefetch(id, pt, -1)
+		if fetched[id] {
+			continue
+		}
+		fetched[id] = true
+		if got, want := p.fetch(id, pt), pure(pt); got.Objective != want.Objective || got.Point.Key() != pt.Key() {
+			t.Fatalf("fetch %v = %+v, want %+v", pt, got, want)
+		}
+	}
+	p.close(nil)
+	for k, n := range calls {
+		if n != 1 {
+			t.Fatalf("point %s computed %d times", k, n)
+		}
+	}
+	if len(calls) != len(fetched) || p.misses.Load() != int64(len(fetched)) {
+		t.Fatalf("%d points computed, misses %d, want %d", len(calls), p.misses.Load(), len(fetched))
+	}
+	if p.hits+p.contended > p.fetched {
+		t.Fatalf("hits %d + contended %d exceed %d fetches", p.hits, p.contended, p.fetched)
+	}
+}
+
+// TestEvalPoolFetchHandsOver checks that a slot a pool worker filled
+// keeps no copy of the result once fetched, and that a point never
+// announced is computed inline.
+func TestEvalPoolFetchHandsOver(t *testing.T) {
+	sp := space.Identify(kernelFor(t))
+	points := space.NewTable(sp)
+	p := newEvalPool(1, "test", syntheticPure(1, nil))
+	byWorker := sp.AreaSeed()
+	id := points.ID(byWorker)
+	p.prefetch(id, byWorker, -1)
+	<-p.slots[id].done
+	if r := p.fetch(id, byWorker); r.Point == nil {
+		t.Fatal("fetch returned an empty result")
+	}
+	inline := sp.PerformanceSeed()
+	inlineID := points.ID(inline)
+	if r := p.fetch(inlineID, inline); r.Point == nil {
+		t.Fatal("inline fetch returned an empty result")
+	}
+	p.close(nil)
+	if p.hits != 1 || p.misses.Load() != 2 {
+		t.Fatalf("hits %d misses %d, want 1 and 2", p.hits, p.misses.Load())
+	}
+	if res := p.slots[id].res; !reflect.DeepEqual(res, tuner.Result{}) {
+		t.Fatalf("slot still holds %+v after fetch", res)
 	}
 }
 
@@ -324,11 +443,11 @@ func TestIdentityRowFreshness(t *testing.T) {
 			return pure(pt)
 		}
 		points := space.NewTable(sp)
-		p := newEvalPool(2, "test", counted, points)
+		p := newEvalPool(2, "test", counted)
 		eval := newGuard(nil, estimate(counted, p, nil), points, &Outcome{}, nil)
 		pt := sp.AreaSeed()
 		if prefetched {
-			p.prefetch(pt)
+			p.prefetch(points.ID(pt), pt, -1)
 			<-computed // a pool worker is computing the value
 		}
 		r1 := eval(pt)

@@ -27,9 +27,9 @@ type chromeDoc struct {
 }
 
 // WriteChrome renders events as one Chrome trace_event document. Span
-// end events inherit the name/category of their begin so the converter
-// round-trips a bare JSONL stream (whose E records carry only the span
-// id). Each track gets a thread_name metadata record: tid 0 is the
+// end events inherit the name/category of their begin, so a JSONL
+// stream read back with ReadJSONL (whose E records carry only the span
+// id) renders too. Each track gets a thread_name metadata record: tid 0 is the
 // compile/DSE pipeline, higher tids are DSE workers.
 func WriteChrome(events []Event, w io.Writer) error {
 	type spanInfo struct{ cat, name string }
@@ -89,15 +89,4 @@ func WriteChrome(events []Event, w io.Writer) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
-}
-
-// ConvertJSONLToChrome re-renders a native JSONL trace stream as a
-// Chrome trace_event document, so `-trace out.jsonl` runs open in
-// chrome://tracing/Perfetto after the fact.
-func ConvertJSONLToChrome(r io.Reader, w io.Writer) error {
-	events, err := ReadJSONL(r)
-	if err != nil {
-		return err
-	}
-	return WriteChrome(events, w)
 }

@@ -146,8 +146,12 @@ func TestChromeExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	events, err := ReadJSONL(bytes.NewReader(jsonl.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var chrome bytes.Buffer
-	if err := ConvertJSONLToChrome(bytes.NewReader(jsonl.Bytes()), &chrome); err != nil {
+	if err := WriteChrome(events, &chrome); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -308,7 +312,7 @@ func TestChromeNonFiniteAndEscaping(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := ConvertJSONLToChrome(bytes.NewReader(jsonl.Bytes()), &chrome); err != nil {
+	if err := WriteChrome(events, &chrome); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
