@@ -355,24 +355,69 @@ func errorCases() []errorCase {
 	}
 }
 
-// TestExecuteSteadyStateAllocs: a warm evaluator allocates no more to
-// execute 64 S-W tasks than 8. The frame, each ArrDecl's buffer (S-W
-// declares its two score tables inside the task loop) and each call
-// site's argument buffer are allocated once and reused.
-func TestExecuteSteadyStateAllocs(t *testing.T) {
-	a := apps.Get("S-W")
-	cls, k := appKernel(t, a)
+// warmEvaluator compiles app a's kernel, serializes n seeded tasks
+// into its buffers and executes them once, so the evaluator's frame,
+// each ArrDecl's buffer and each call site's argument buffer exist.
+func warmEvaluator(tb testing.TB, a *apps.App, n int) (*cir.Evaluator, map[string][]cir.Value) {
+	tb.Helper()
+	cls, err := a.Class()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k, err := a.Kernel()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	layout := blaze.Layout{Class: cls, Kernel: k}
+	bufs, err := layout.Serialize(a.Gen(rand.New(rand.NewSource(41)), n))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for name, out := range layout.AllocOutputs(n) {
+		bufs[name] = out
+	}
 	ev := cir.NewEvaluator(k)
 	ev.MaxSteps = 2_000_000_000
-	allocs := func(n int) float64 {
-		bufs := layoutRuns(t, cls, k, a.Gen(rand.New(rand.NewSource(41)), n))[0].bufs
-		return testing.AllocsPerRun(1, func() {
-			if err := ev.Execute(n, bufs); err != nil {
+	if err := ev.Execute(n, bufs); err != nil {
+		tb.Fatal(err)
+	}
+	return ev, bufs
+}
+
+// execApps are the apps whose warm Execute is pinned and benchmarked:
+// S-W (two score tables declared per task, a traceback while loop),
+// KMeans and LR (floating-point host buffers, intrinsic calls).
+var execApps = []string{"S-W", "KMeans", "LR"}
+
+// TestExecuteSteadyStateAllocs: a warm evaluator executes 8 tasks
+// without allocating. The frame, each ArrDecl's buffer and each call
+// site's argument buffer are allocated once and reused.
+func TestExecuteSteadyStateAllocs(t *testing.T) {
+	for _, name := range execApps {
+		ev, bufs := warmEvaluator(t, apps.Get(name), 8)
+		allocs := testing.AllocsPerRun(2, func() {
+			if err := ev.Execute(8, bufs); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm Execute of 8 tasks allocates %v times, want 0", name, allocs)
+		}
 	}
-	if small, large := allocs(8), allocs(64); small != large {
-		t.Errorf("a warm Execute allocates %v times for 8 tasks but %v for 64", small, large)
+}
+
+// BenchmarkExecute times one warm Execute of 8 tasks per app, the
+// batch of a Blaze offload; run it with -benchmem.
+func BenchmarkExecute(b *testing.B) {
+	for _, name := range execApps {
+		b.Run(name, func(b *testing.B) {
+			ev, bufs := warmEvaluator(b, apps.Get(name), 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ev.Execute(8, bufs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -11,8 +11,9 @@ import (
 // executions of one evaluator: same buffers, Steps and error text. The
 // kernels mix every statement and expression form, names that are never
 // bound, local arrays that shadow parameters and globals, out-of-range
-// indices, zero divisors, bad intrinsic calls, missing or short buffers
-// and small step budgets.
+// indices, zero divisors, bad intrinsic calls, Cond arms of different
+// kinds, host buffers whose element kinds disagree with the declared
+// ones, missing or short buffers and small step budgets.
 func FuzzEvalVsReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x05\x03\x02\x01\x04\x00\x07\x09\x02\x06\x01\x03\x05\x08"))
@@ -99,14 +100,17 @@ func (b *fuzzBuilder) kernel() *cir.Kernel {
 
 // execution draws a task count and the buffers for it: usually complete,
 // sometimes with one missing, one short, or a scalar buffer of two
-// elements. An exhausted input draws one task and complete buffers.
+// elements. An input buffer's elements sometimes disagree with the
+// parameter's declared kind (Double values in a, Int in d, Float in s),
+// as a host may hand over. An exhausted input draws one task and
+// complete buffers of the declared kinds.
 func (b *fuzzBuilder) execution() execution {
 	n := (1 + b.byte()) % 4
 	bufs := map[string][]cir.Value{
-		"a": b.values(n*3, cir.Int),
-		"d": b.values(n*3, cir.Double),
+		"a": b.values(n*3, b.hostKind(cir.Int, cir.Double)),
+		"d": b.values(n*3, b.hostKind(cir.Double, cir.Int)),
 		"o": make([]cir.Value, n*3),
-		"s": b.values(1, cir.Long),
+		"s": b.values(1, b.hostKind(cir.Long, cir.Float)),
 	}
 	for i := range bufs["o"] {
 		bufs["o"][i].K = cir.Int
@@ -122,6 +126,15 @@ func (b *fuzzBuilder) execution() execution {
 		bufs["s"] = append(bufs["s"], bufs["s"]...)
 	}
 	return execution{n: n, bufs: bufs}
+}
+
+// hostKind is the element kind of one host buffer: usually the declared
+// kind, one time in three the mismatched one.
+func (b *fuzzBuilder) hostKind(declared, mismatched cir.Kind) cir.Kind {
+	if b.pick(3) == 2 {
+		return mismatched
+	}
+	return declared
 }
 
 func (b *fuzzBuilder) values(n int, k cir.Kind) []cir.Value {
@@ -232,7 +245,14 @@ func (b *fuzzBuilder) expr(depth int) cir.Expr {
 	case 7:
 		return &cir.Cast{To: b.kind(), X: b.expr(depth - 1)}
 	case 8:
-		return &cir.Cond{C: b.expr(depth - 1), T: b.expr(depth - 1), F: b.expr(depth - 1)}
+		c := &cir.Cond{C: b.expr(depth - 1), T: b.expr(depth - 1), F: b.expr(depth - 1)}
+		if b.pick(3) == 0 {
+			// Arms of an integer and a floating kind: the result's kind
+			// is known only at run time.
+			c.T = &cir.IntLit{K: cir.Int, Val: int64(int8(b.byte()))}
+			c.F = &cir.FloatLit{K: cir.Double, Val: float64(int8(b.byte())) / 4}
+		}
+		return c
 	default:
 		// Mostly the intrinsic's own arity, sometimes one too many.
 		c := &cir.Call{K: b.kind(), Name: fuzzCalls[b.pick(len(fuzzCalls))]}
