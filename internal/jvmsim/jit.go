@@ -255,9 +255,6 @@ func (vm *VM) EnableJIT() error {
 	return nil
 }
 
-// DisableJIT returns the VM to interpreter execution.
-func (vm *VM) DisableJIT() { vm.prog = nil }
-
 // TryJIT enables compiled execution when possible — the class compiles
 // and no per-instruction Trace hook is installed — and reports whether
 // subsequent invocations will run compiled. Used by paths (the Blaze
@@ -891,91 +888,20 @@ func copyCell(dst, src *cell) {
 }
 
 // binFn is a compile-time-specialized binary operator: the op/kind
-// dispatch of binOp and cir.EvalBinary resolved once at compile time.
-// Every specialization reproduces the corresponding EvalBinary arm
-// verbatim; fallible (Div/Rem) and exotic operators delegate to the
-// shared evaluator so error text and semantics stay byte-identical.
+// dispatch of binOp resolved once at compile time. Every operator but
+// the logical pair is the Value form of cir's operator table, the one
+// definition cir.EvalBinary also applies, so results and error text match
+// the interpreter's.
 type binFn func(l, r cir.Value) (cir.Value, error)
 
 func binFnFor(in bytecode.Instr) binFn {
-	op, k := in.Bin, in.Kind
-	switch op {
+	switch in.Bin {
 	case cir.LAnd:
 		return func(l, r cir.Value) (cir.Value, error) { return cir.BoolVal(l.IsTrue() && r.IsTrue()), nil }
 	case cir.LOr:
 		return func(l, r cir.Value) (cir.Value, error) { return cir.BoolVal(l.IsTrue() || r.IsTrue()), nil }
-	case cir.Lt:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() < r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I < r.I), nil
-		}
-	case cir.Le:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() <= r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I <= r.I), nil
-		}
-	case cir.Gt:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() > r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I > r.I), nil
-		}
-	case cir.Ge:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() >= r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I >= r.I), nil
-		}
-	case cir.Eq:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() == r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I == r.I), nil
-		}
-	case cir.Ne:
-		return func(l, r cir.Value) (cir.Value, error) {
-			if l.K.IsFloat() || r.K.IsFloat() {
-				return cir.BoolVal(l.AsFloat() != r.AsFloat()), nil
-			}
-			return cir.BoolVal(l.I != r.I), nil
-		}
 	}
-	if k.IsFloat() {
-		switch op {
-		case cir.Add:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.FloatVal(k, l.AsFloat()+r.AsFloat()), nil }
-		case cir.Sub:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.FloatVal(k, l.AsFloat()-r.AsFloat()), nil }
-		case cir.Mul:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.FloatVal(k, l.AsFloat()*r.AsFloat()), nil }
-		case cir.Div:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.FloatVal(k, l.AsFloat()/r.AsFloat()), nil }
-		}
-	} else {
-		switch op {
-		case cir.Add:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()+r.AsInt()), nil }
-		case cir.Sub:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()-r.AsInt()), nil }
-		case cir.Mul:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()*r.AsInt()), nil }
-		case cir.And:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()&r.AsInt()), nil }
-		case cir.Or:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()|r.AsInt()), nil }
-		case cir.Xor:
-			return func(l, r cir.Value) (cir.Value, error) { return cir.IntVal(k, l.AsInt()^r.AsInt()), nil }
-		}
-	}
-	bi := in
-	return func(l, r cir.Value) (cir.Value, error) { return binOp(bi, l, r) }
+	return cir.BinaryFunc(in.Bin, in.Kind)
 }
 
 // evalBin runs the Bin component at pc through its specialized operator,
