@@ -60,9 +60,6 @@ type Entry struct {
 	bytes    int
 }
 
-// Checksum returns the integrity checksum stored at insertion.
-func (e *Entry) Checksum() [32]byte { return e.checksum }
-
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
 	// SourceHits served both frontend and backend from the memo layer.

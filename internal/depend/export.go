@@ -31,10 +31,6 @@ func DecomposeAffine(e cir.Expr, isInd func(string) bool) AffineForm {
 	return AffineForm{Ind: f.ind, Syms: f.syms, Const: f.cst, OK: f.ok}
 }
 
-// ConstExpr evaluates an expression built purely from integer literals
-// (e.g. the `256 - 1` initializer of the S-W traceback cursor).
-func ConstExpr(e cir.Expr) (int64, bool) { return constExpr(e) }
-
 // LoopVarRange returns the compile-time value range of a counted loop's
 // induction variable ([Lo, Hi-1]); ok reports whether both bounds are
 // integer literals.

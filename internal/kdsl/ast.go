@@ -41,8 +41,6 @@ func (t Type) Equal(o Type) bool {
 	return true
 }
 
-func (t Type) String2() string { return t.str() }
-
 func (t Type) str() string {
 	switch {
 	case t.String:

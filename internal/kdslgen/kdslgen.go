@@ -90,9 +90,6 @@ func newKernel(p *prog) *Kernel {
 // HasReduce reports whether the kernel defines a reduce combiner.
 func (k *Kernel) HasReduce() bool { return k.p.Reduce != "" }
 
-// OutIsArray reports whether the kernel result is an array.
-func (k *Kernel) OutIsArray() bool { return k.p.Out.Arr }
-
 // NewTask draws one task's input fields from rng. Values are generated
 // at the exact declared kinds, so serialization through any layer is
 // conversion-free.

@@ -26,12 +26,6 @@ var (
 	ErrIllegalBitWidth = errors.New("illegal bit-width")
 )
 
-// IsLegality reports whether err is one of the typed legality rejections
-// (as opposed to an internal transformation bug).
-func IsLegality(err error) bool {
-	return LegalityClass(err) != nil
-}
-
 // LegalityClass returns the typed legality sentinel err wraps, or nil
 // when err is not a legality rejection. Two rejections of the same class
 // answer errors.Is alike for every sentinel.
