@@ -417,32 +417,48 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 
 	// The functional emulation behind a Blaze offload: one warm
 	// evaluator executing 64 KMeans tasks (the BenchmarkKernelEvaluator
-	// batch), so the stage prices execution, not compilation.
-	km := apps.Get("KMeans")
-	kmCls, err := km.Class()
+	// batch), and one executing 8 S-W tasks (a Blaze offload's batch,
+	// and the app that dominates the offload workload's time), so each
+	// stage prices execution, not compilation.
+	for _, st := range []struct {
+		name, app string
+		tasks     int
+	}{{"cir_exec", "KMeans", 64}, {"cir_exec_sw", "S-W", 8}} {
+		run, err := warmExecute(apps.Get(st.app), st.tasks)
+		if err != nil {
+			return nil, err
+		}
+		stage(st.name, run)
+	}
+	return rep, nil
+}
+
+// warmExecute serializes n seeded tasks of app a into its kernel's
+// buffers and returns one Execute of a single evaluator over them.
+func warmExecute(a *apps.App, n int) (func(), error) {
+	cls, err := a.Class()
 	if err != nil {
 		return nil, err
 	}
-	kmKernel, err := km.Kernel()
+	k, err := a.Kernel()
 	if err != nil {
 		return nil, err
 	}
-	layout := blaze.Layout{Class: kmCls, Kernel: kmKernel}
-	kmTasks := km.Gen(rand.New(rand.NewSource(5)), 64)
-	bufs, err := layout.Serialize(kmTasks)
+	layout := blaze.Layout{Class: cls, Kernel: k}
+	bufs, err := layout.Serialize(a.Gen(rand.New(rand.NewSource(5)), n))
 	if err != nil {
 		return nil, err
 	}
-	for name, out := range layout.AllocOutputs(len(kmTasks)) {
+	for name, out := range layout.AllocOutputs(n) {
 		bufs[name] = out
 	}
-	ev := cir.NewEvaluator(kmKernel)
-	stage("cir_exec", func() {
-		if err := ev.Execute(len(kmTasks), bufs); err != nil {
+	ev := cir.NewEvaluator(k)
+	ev.MaxSteps = 2_000_000_000
+	return func() {
+		if err := ev.Execute(n, bufs); err != nil {
 			panic(err)
 		}
-	})
-	return rep, nil
+	}, nil
 }
 
 func writeBench(path string, seed int64, sweepCores bool) error {
