@@ -345,9 +345,9 @@ func BenchmarkJVMBaseline(b *testing.B) {
 			}
 		})
 		b.Run(a.Name+"/jit", func(b *testing.B) {
-			vm, err := jvmsim.NewJIT(cls)
-			if err != nil {
-				b.Fatal(err)
+			vm := jvmsim.New(cls)
+			if !vm.TryJIT() {
+				b.Fatal("TryJIT = false")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

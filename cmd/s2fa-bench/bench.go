@@ -1,11 +1,12 @@
 package main
 
 // Performance baseline mode: `-bench FILE` measures the Fig. 3
-// regeneration on both DSE engines and both JVM-baseline engines
-// (closure-compiled JIT vs interpreter) plus the pipeline-stage micros
-// and writes them as JSON; `-bench-check FILE` re-measures and fails on
-// regression against the committed baseline. Wall-clock comparisons are
-// only meaningful on matching hardware, so every gate is conditional:
+// regeneration on both DSE engines, the JVM baselines on both JVM
+// engines (closure-compiled JIT vs interpreter) and the pipeline-stage
+// micros, and writes them as JSON; `-bench-check FILE` re-measures and
+// fails on regression against the committed baseline. Wall-clock
+// comparisons are only meaningful on matching hardware, so every gate
+// is conditional:
 //
 //   - speedup >= minSpeedup and the JIT >= minJITSpeedup gate are
 //     enforced only when the current machine has at least 4 CPUs (the
@@ -14,12 +15,14 @@ package main
 //     was recorded on a machine with the same CPU count.
 //
 // Besides wall-clock, the mode cross-checks determinism: the Fig. 3 and
-// Fig. 4 renders must be byte-identical across the sequential engine,
-// the parallel engine, and with the JVM-baseline JIT on or off.
+// Fig. 4 renders must be byte-identical across the sequential and the
+// parallel DSE engine, and every app's JVM seconds must be bit-identical
+// on the JIT and on the interpreter.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -67,21 +70,21 @@ type benchReport struct {
 	MaxProcs int `json:"gomaxprocs"`
 	// Fig3SequentialMS / Fig3ParallelMS are the wall-clock of one full
 	// Fig. 3 regeneration (every app, S2FA + vanilla DSE, JVM baselines) on
-	// each DSE engine with the JVM-baseline JIT on; Speedup is their
-	// ratio. Fig3SeqNoJITMS is the sequential run with the baselines
-	// interpreted — the pre-JIT reference wall-clock.
+	// each DSE engine; Speedup is their ratio. Baselines recorded while
+	// the suite could still interpret also carry fig3_seq_nojit_ms (the
+	// sequential run with interpreted baselines) and
+	// jvm_share_before_pct (the interpreter's share of it); nothing
+	// reads them.
 	Fig3SequentialMS float64 `json:"fig3_sequential_ms"`
-	Fig3SeqNoJITMS   float64 `json:"fig3_seq_nojit_ms"`
 	Fig3ParallelMS   float64 `json:"fig3_par8_ms"`
 	ParallelPool     int     `json:"parallel_pool"`
 	Speedup          float64 `json:"speedup"`
 	// JVMBaselineInterpMS / JVMBaselineJITMS are the wall-clock of the
-	// suite's JVM-baseline calibration (every app) on each engine; the
-	// share fields express them as a percentage of the corresponding
-	// Fig. 3 regeneration — the serial cost center the JIT shrinks.
+	// suite's JVM-baseline calibration (every app) on each engine;
+	// JVMShareAfterPct is the JIT's as a percentage of the sequential
+	// Fig. 3 regeneration.
 	JVMBaselineInterpMS float64 `json:"jvm_baseline_interp_ms"`
 	JVMBaselineJITMS    float64 `json:"jvm_baseline_jit_ms"`
-	JVMShareBeforePct   float64 `json:"jvm_share_before_pct"`
 	JVMShareAfterPct    float64 `json:"jvm_share_after_pct"`
 	// JITSpeedupSW is interpreter/JIT wall-clock on the S-W task batch.
 	JITSpeedupSW float64 `json:"jit_speedup_sw"`
@@ -184,11 +187,10 @@ func allocsPerRun(fn func()) float64 {
 // fig3MS regenerates Fig. 3 (timed) and Fig. 4 (on the same warm suite,
 // untimed) and returns the Fig. 3 wall-clock plus both renders
 // concatenated — the determinism witness compared across engines.
-func fig3MS(seed int64, engine dse.Engine, pool int, jit bool) (float64, string, error) {
+func fig3MS(seed int64, engine dse.Engine, pool int) (float64, string, error) {
 	s := exp.NewSuite(seed)
 	s.Engine = engine
 	s.Parallelism = pool
-	s.JIT = jit
 	start := time.Now()
 	r, err := exp.Fig3(s, nil)
 	if err != nil {
@@ -203,15 +205,38 @@ func fig3MS(seed int64, engine dse.Engine, pool int, jit bool) (float64, string,
 }
 
 // jvmBaselineMS times the suite's per-app JVM-baseline calibration (the
-// sample batch each AppResult executes) across every workload.
-func jvmBaselineMS(jit bool) (float64, error) {
-	start := time.Now()
-	for _, a := range apps.All() {
-		if _, err := exp.JVMSecondsForEngine(a, a.Tasks, jit, nil); err != nil {
-			return 0, err
+// sample batch each AppResult executes) across every workload, on the
+// interpreter and on the JIT. It fails unless both engines give every
+// app bit-identical JVM seconds: Fig. 4 divides by them, and they
+// depend only on the Counts the JIT must preserve.
+func jvmBaselineMS() (interpMS, jitMS float64, err error) {
+	run := func(jit bool) ([]float64, float64, error) {
+		secs := make([]float64, 0, len(apps.All()))
+		start := time.Now()
+		for _, a := range apps.All() {
+			sec, err := exp.JVMSecondsForEngine(a, a.Tasks, jit, nil)
+			if err != nil {
+				return nil, 0, err
+			}
+			secs = append(secs, sec)
+		}
+		return secs, float64(time.Since(start).Microseconds()) / 1000, nil
+	}
+	interp, interpMS, err := run(false)
+	if err != nil {
+		return 0, 0, err
+	}
+	jit, jitMS, err := run(true)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, a := range apps.All() {
+		if math.Float64bits(interp[i]) != math.Float64bits(jit[i]) {
+			return 0, 0, fmt.Errorf("%s JVM baseline diverged between engines (interpreter %vs, jit %vs) — the JIT broke cost accounting, timings are meaningless",
+				a.Name, interp[i], jit[i])
 		}
 	}
-	return float64(time.Since(start).Microseconds()) / 1000, nil
+	return interpMS, jitMS, nil
 }
 
 // jitSpeedupSW measures interpreter vs closure-compiled wall-clock on
@@ -230,9 +255,9 @@ func jitSpeedupSW() (float64, error) {
 			panic(err)
 		}
 	})
-	vmJ, err := jvmsim.NewJIT(cls)
-	if err != nil {
-		return 0, err
+	vmJ := jvmsim.New(cls)
+	if !vmJ.TryJIT() {
+		return 0, fmt.Errorf("S-W class does not compile for the JIT")
 	}
 	jit := timeIt(func() {
 		if _, err := vmJ.CallBatch(tasks); err != nil {
@@ -260,32 +285,24 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 		rep.StagePercentiles[name] = pct
 	}
 
-	seqMS, seqOut, err := fig3MS(seed, dse.EngineSequential, 0, true)
+	seqMS, seqOut, err := fig3MS(seed, dse.EngineSequential, 0)
 	if err != nil {
 		return nil, err
 	}
-	noJITMS, noJITOut, err := fig3MS(seed, dse.EngineSequential, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	parMS, parOut, err := fig3MS(seed, dse.EngineParallel, benchParallelism, true)
+	parMS, parOut, err := fig3MS(seed, dse.EngineParallel, benchParallelism)
 	if err != nil {
 		return nil, err
 	}
 	if seqOut != parOut {
 		return nil, fmt.Errorf("parallel Fig. 3/4 output diverged from sequential — determinism bug, timings are meaningless")
 	}
-	if seqOut != noJITOut {
-		return nil, fmt.Errorf("Fig. 3/4 output diverged between JVM engines — the JIT broke cost accounting, timings are meaningless")
-	}
 	rep.Fig3SequentialMS = seqMS
-	rep.Fig3SeqNoJITMS = noJITMS
 	rep.Fig3ParallelMS = parMS
 	rep.Speedup = seqMS / parMS
 
 	if sweepCores {
 		for pool := 1; pool <= rep.MaxProcs; pool++ {
-			ms, out, err := fig3MS(seed, dse.EngineParallel, pool, true)
+			ms, out, err := fig3MS(seed, dse.EngineParallel, pool)
 			if err != nil {
 				return nil, err
 			}
@@ -296,21 +313,11 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 		}
 	}
 
-	interpMS, err := jvmBaselineMS(false)
-	if err != nil {
+	if rep.JVMBaselineInterpMS, rep.JVMBaselineJITMS, err = jvmBaselineMS(); err != nil {
 		return nil, err
-	}
-	jitMS, err := jvmBaselineMS(true)
-	if err != nil {
-		return nil, err
-	}
-	rep.JVMBaselineInterpMS = interpMS
-	rep.JVMBaselineJITMS = jitMS
-	if noJITMS > 0 {
-		rep.JVMShareBeforePct = 100 * interpMS / noJITMS
 	}
 	if seqMS > 0 {
-		rep.JVMShareAfterPct = 100 * jitMS / seqMS
+		rep.JVMShareAfterPct = 100 * rep.JVMBaselineJITMS / seqMS
 	}
 	if rep.JITSpeedupSW, err = jitSpeedupSW(); err != nil {
 		return nil, err
@@ -473,10 +480,10 @@ func writeBench(path string, seed int64, sweepCores bool) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: fig3 %.0fms sequential (%.0fms interpreted), %.0fms par%d (%.2fx) on %d cores\n",
-		path, rep.Fig3SequentialMS, rep.Fig3SeqNoJITMS, rep.Fig3ParallelMS, rep.ParallelPool, rep.Speedup, rep.Cores)
-	fmt.Printf("JVM baseline: %.0fms interpreted (%.0f%% of fig3) -> %.0fms jit (%.0f%%), S-W speedup %.2fx\n",
-		rep.JVMBaselineInterpMS, rep.JVMShareBeforePct, rep.JVMBaselineJITMS, rep.JVMShareAfterPct, rep.JITSpeedupSW)
+	fmt.Printf("wrote %s: fig3 %.0fms sequential, %.0fms par%d (%.2fx) on %d cores\n",
+		path, rep.Fig3SequentialMS, rep.Fig3ParallelMS, rep.ParallelPool, rep.Speedup, rep.Cores)
+	fmt.Printf("JVM baseline: %.0fms interpreted -> %.0fms jit (%.0f%% of fig3), S-W speedup %.2fx\n",
+		rep.JVMBaselineInterpMS, rep.JVMBaselineJITMS, rep.JVMShareAfterPct, rep.JITSpeedupSW)
 	printScaling(rep.Scaling)
 	return nil
 }

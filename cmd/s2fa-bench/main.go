@@ -31,7 +31,6 @@ func main() {
 		which      = flag.String("exp", "all", "experiment: fig3 | fig4 | table1 | table2 | ablation | components | all")
 		seed       = flag.Int64("seed", 1, "random seed (reproducible)")
 		par        = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
-		jit        = flag.Bool("jit", true, "execute the JVM baselines through the closure-compiled engine (-jit=false interprets; results are byte-identical either way)")
 		benchOut   = flag.String("bench", "", "measure the performance baseline (Fig. 3 on both engines + stage micros) and write it to this JSON file")
 		benchCheck = flag.String("bench-check", "", "re-measure the baseline and fail on regression against this committed JSON file")
 		cores      = flag.Bool("cores", false, "with -bench/-bench-check: sweep the parallel DSE pool from 1 to GOMAXPROCS and record the per-core scaling curve in the JSON report")
@@ -111,7 +110,6 @@ func main() {
 	}
 
 	s := exp.NewSuite(*seed)
-	s.JIT = *jit
 	if *par > 0 {
 		s.Engine = dse.EngineParallel
 		s.Parallelism = *par

@@ -48,7 +48,6 @@ func main() {
 		par         = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
 		tasks       = flag.Int("tasks", 4096, "batch size the design is optimized for")
 		seed        = flag.Int64("seed", 1, "random seed (reproducible runs)")
-		jit         = flag.Bool("jit", true, "execute the JVM baseline through the closure-compiled engine (-jit=false interprets; results are byte-identical either way)")
 		lintOnly    = flag.Bool("lint", false, "run the static verifier on the generated kernel, print findings, and exit (status 1 on errors)")
 		explain     = flag.Bool("explain", false, "print the abstract interpreter's fact report (§3.3 violations with kdsl positions, purity, value ranges) and exit (status 1 on violations)")
 		dumpBC      = flag.Bool("dump-bytecode", false, "print the compiled bytecode")
@@ -326,15 +325,11 @@ func main() {
 	// For built-in workloads, report the Fig. 4 comparison point: the
 	// modeled single-thread JVM executor time and the resulting speedup.
 	if a := apps.Get(*appName); a != nil {
-		engine := "interpreter"
-		if *jit {
-			engine = "jit"
-		}
-		jvmSec, err := exp.JVMSecondsForEngine(a, *tasks, *jit, tr)
+		jvmSec, err := exp.JVMSecondsForEngine(a, *tasks, true, tr)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("JVM baseline (single-thread executor, %s): %.6fs\n", engine, jvmSec)
+		fmt.Printf("JVM baseline (single-thread executor, jit): %.6fs\n", jvmSec)
 		if s := build.Best.Seconds(); s > 0 {
 			fmt.Printf("speedup over JVM: %.2fx\n", jvmSec/s)
 		}

@@ -75,6 +75,46 @@ func TestIntervalTransferMatchesEval(t *testing.T) {
 	}
 }
 
+// TestIntKindedFloatIntrinsics: the six intrinsics that compute a
+// double convert it to an integer kind as a cast does (truncate toward
+// zero, then wrap to the kind's width), and the abstract transfer
+// encloses the converted value.
+func TestIntKindedFloatIntrinsics(t *testing.T) {
+	kinds := []cir.Kind{cir.Bool, cir.Char, cir.Short, cir.Int, cir.Long}
+	cases := []struct {
+		name string
+		args []float64
+		want []int64 // per kind, in the order of kinds
+	}{
+		{"exp", []float64{30}, []int64{1, 20, 30228, 595949076, 10686474581524}},
+		{"log", []float64{1e6}, []int64{1, 13, 13, 13, 13}},
+		{"sqrt", []float64{17}, []int64{1, 4, 4, 4, 4}},
+		{"fabs", []float64{-300.75}, []int64{1, 44, 300, 300, 300}},
+		{"floor", []float64{-3.5}, []int64{1, -4, -4, -4, -4}},
+		{"pow", []float64{3, 20}, []int64{1, -111, 7057, -808182895, 3486784401}},
+	}
+	for _, c := range cases {
+		args := make([]cir.Value, len(c.args))
+		ivs := make([]Interval, len(c.args))
+		for i, x := range c.args {
+			args[i] = cir.FloatVal(cir.Double, x)
+			ivs[i] = Const(args[i])
+		}
+		for i, k := range kinds {
+			got, err := cir.EvalIntrinsic(c.name, k, args)
+			if err != nil {
+				t.Fatalf("%s.%s: %v", c.name, k, err)
+			}
+			if got.K != k || got.I != c.want[i] || got.F != 0 {
+				t.Errorf("%s.%s%v = {K:%s I:%d F:%g}, want {K:%s I:%d}", c.name, k, c.args, got.K, got.I, got.F, k, c.want[i])
+			}
+			if iv := intrinInterval(c.name, k, ivs); !iv.ContainsValue(got) {
+				t.Errorf("%s.%s%v = %s escapes %v", c.name, k, c.args, got, iv)
+			}
+		}
+	}
+}
+
 const sumSource = `
 class Dot extends Accelerator[(Array[Int], Array[Int]), Int] {
   val id: String = "dot"

@@ -422,7 +422,10 @@ func castInterval(k cir.Kind, x Interval) Interval {
 	return fit(k, Interval{math.Trunc(x.Lo), math.Trunc(x.Hi)})
 }
 
-// intrinInterval is the transfer function for math intrinsics.
+// intrinInterval is the transfer function for math intrinsics. exp,
+// log, sqrt, fabs, floor and pow compute a double and convert it to k
+// as a cast does (cir.EvalIntrinsic), so their ranges go through
+// castInterval; abs, min and max compute at k.
 func intrinInterval(name string, k cir.Kind, args []Interval) Interval {
 	for _, a := range args {
 		if a.IsBottom() {
@@ -439,19 +442,19 @@ func intrinInterval(name string, k cir.Kind, args []Interval) Interval {
 	}
 	switch name {
 	case "exp":
-		return fit(k, mono(math.Exp))
+		return castInterval(k, mono(math.Exp))
 	case "log":
 		if args[0].Lo <= 0 {
 			return Top()
 		}
-		return fit(k, mono(math.Log))
+		return castInterval(k, mono(math.Log))
 	case "sqrt":
 		if args[0].Lo < 0 {
 			return Top()
 		}
-		return fit(k, mono(math.Sqrt))
+		return castInterval(k, mono(math.Sqrt))
 	case "floor":
-		return fit(k, mono(math.Floor))
+		return castInterval(k, mono(math.Floor))
 	case "abs", "fabs":
 		x := args[0]
 		lo := 0.0
@@ -460,7 +463,11 @@ func intrinInterval(name string, k cir.Kind, args []Interval) Interval {
 		} else if x.Hi < 0 {
 			lo = -x.Hi
 		}
-		return fit(k, outward(Interval{lo, math.Max(math.Abs(x.Lo), math.Abs(x.Hi))}))
+		res := outward(Interval{lo, math.Max(math.Abs(x.Lo), math.Abs(x.Hi))})
+		if name == "fabs" {
+			return castInterval(k, res)
+		}
+		return fit(k, res)
 	case "min":
 		if len(args) != 2 {
 			return Top()
@@ -479,7 +486,7 @@ func intrinInterval(name string, k cir.Kind, args []Interval) Interval {
 		if res.IsTop() {
 			return Top()
 		}
-		return fit(k, res.ulps(8))
+		return castInterval(k, res.ulps(8))
 	}
 	return Top()
 }

@@ -238,13 +238,12 @@ func Analyze(k *cir.Kernel) *Analysis {
 		Loops:  map[string][]*LoopArray{},
 		caps:   map[string]int{},
 	}
-	info := cir.Analyze(k)
-	for _, li := range info.All {
-		a.LoopOrder = append(a.LoopOrder, li.Loop.ID)
-		a.Loops[li.Loop.ID] = a.loopSummaries(li.Loop.ID, w)
-		if li.Loop.ID != k.TaskLoopID {
-			if cap := a.portCap(li.Loop.ID); cap > 0 {
-				a.caps[li.Loop.ID] = cap
+	for _, l := range k.Loops() {
+		a.LoopOrder = append(a.LoopOrder, l.ID)
+		a.Loops[l.ID] = a.loopSummaries(l.ID, w)
+		if l.ID != k.TaskLoopID {
+			if cap := a.portCap(l.ID); cap > 0 {
+				a.caps[l.ID] = cap
 			}
 		}
 	}

@@ -212,6 +212,13 @@ func TestAccessSoundnessAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			acc := access.Analyze(k)
+			var want []string
+			for _, li := range cir.Analyze(k).All {
+				want = append(want, li.Loop.ID)
+			}
+			if !reflect.DeepEqual(acc.LoopOrder, want) {
+				t.Fatalf("LoopOrder = %v, want the loop-nest preorder %v", acc.LoopOrder, want)
+			}
 			sites := claimedSites(k, acc, cls.Call)
 			if len(sites) == 0 {
 				t.Fatal("no classified site maps to a loop chain; the harness would observe nothing")

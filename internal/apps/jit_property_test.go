@@ -19,12 +19,9 @@ func runEngines(tb testing.TB, a *App, tasks []jvmsim.Val) (outI, outJ []jvmsim.
 		tb.Fatalf("%s: class: %v", a.Name, err)
 	}
 	vmI := jvmsim.New(cls)
-	vmJ, err := jvmsim.NewJIT(cls)
-	if err != nil {
-		tb.Fatalf("%s: NewJIT: %v", a.Name, err)
-	}
-	if !vmJ.JITEnabled() {
-		tb.Fatalf("%s: JIT not enabled", a.Name)
+	vmJ := jvmsim.New(cls)
+	if !vmJ.TryJIT() {
+		tb.Fatalf("%s: TryJIT = false", a.Name)
 	}
 	outI, errI = vmI.CallBatch(tasks)
 	outJ, errJ = vmJ.CallBatch(tasks)

@@ -263,9 +263,9 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 	}
 
 	// JIT engine vs interpreter, bit-exact including the reduce fold.
-	vmJ, err := jvmsim.NewJIT(cls)
-	if err != nil {
-		return "jit", err.Error()
+	vmJ := jvmsim.New(cls)
+	if !vmJ.TryJIT() {
+		return "jit", "TryJIT = false"
 	}
 	outJ, err := vmJ.CallBatch(tasks)
 	if err != nil {

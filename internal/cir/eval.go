@@ -953,7 +953,8 @@ var Intrinsics = map[string]bool{
 
 // EvalIntrinsic applies a math intrinsic to already-evaluated arguments.
 // Shared by the IR evaluator and the JVM simulator so differential tests
-// compare identical math semantics.
+// compare identical math semantics. exp, log, sqrt, fabs, floor and pow
+// compute a double and convert it to k as a Cast does (see fromDouble).
 func EvalIntrinsic(name string, k Kind, args []Value) (Value, error) {
 	need := func(n int) error {
 		if len(args) != n {
@@ -966,22 +967,22 @@ func EvalIntrinsic(name string, k Kind, args []Value) (Value, error) {
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Exp(args[0].AsFloat())), nil
+		return fromDouble(k, math.Exp(args[0].AsFloat())), nil
 	case "log":
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Log(args[0].AsFloat())), nil
+		return fromDouble(k, math.Log(args[0].AsFloat())), nil
 	case "sqrt":
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Sqrt(args[0].AsFloat())), nil
+		return fromDouble(k, math.Sqrt(args[0].AsFloat())), nil
 	case "fabs":
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Abs(args[0].AsFloat())), nil
+		return fromDouble(k, math.Abs(args[0].AsFloat())), nil
 	case "abs":
 		if err := need(1); err != nil {
 			return Value{}, err
@@ -998,12 +999,12 @@ func EvalIntrinsic(name string, k Kind, args []Value) (Value, error) {
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Floor(args[0].AsFloat())), nil
+		return fromDouble(k, math.Floor(args[0].AsFloat())), nil
 	case "pow":
 		if err := need(2); err != nil {
 			return Value{}, err
 		}
-		return FloatVal(k, math.Pow(args[0].AsFloat(), args[1].AsFloat())), nil
+		return fromDouble(k, math.Pow(args[0].AsFloat(), args[1].AsFloat())), nil
 	case "min":
 		if err := need(2); err != nil {
 			return Value{}, err
@@ -1022,4 +1023,11 @@ func EvalIntrinsic(name string, k Kind, args []Value) (Value, error) {
 		return IntVal(k, max(args[0].AsInt(), args[1].AsInt())), nil
 	}
 	return Value{}, fmt.Errorf("cir: unknown intrinsic %q", name)
+}
+
+// fromDouble converts a double result to kind k as Value.Convert does:
+// rounded at Float, truncated toward zero and wrapped to k's width at an
+// integer kind.
+func fromDouble(k Kind, f float64) Value {
+	return Value{K: Double, F: f}.Convert(k)
 }

@@ -19,6 +19,8 @@ func FuzzEvalVsReference(f *testing.F) {
 	f.Add([]byte("\x05\x03\x02\x01\x04\x00\x07\x09\x02\x06\x01\x03\x05\x08"))
 	f.Add([]byte("compiled closures over a frame of slots, checked against the walker"))
 	f.Add([]byte{1, 2, 3, 0, 0, 5, 9, 4, 4, 4, 6, 1, 7, 7, 2, 8, 3, 3, 9, 0, 1, 6, 5, 2, 200, 17, 33, 90})
+	// o[_t] = sqrt(17) at kind Int: the double result truncates to 4.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 3, 0, 2, 0, 9, 0, 2, 0, 0, 0, 17, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := &fuzzBuilder{data: data}
 		k := b.kernel()

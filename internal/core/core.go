@@ -177,35 +177,6 @@ func (f *Framework) BuildFromClass(cls *bytecode.Class, k *cir.Kernel) (*Build, 
 	return b, nil
 }
 
-// BuildWithDirectives skips the DSE and applies explicit directives (how
-// the expert "manual designs" of Fig. 4 are assembled).
-func (f *Framework) BuildWithDirectives(cls *bytecode.Class, k *cir.Kernel, d merlin.Directives, opt hls.Options) (*Build, error) {
-	ann, err := merlin.Annotate(k, d)
-	if err != nil {
-		return nil, err
-	}
-	tasks := f.Tasks
-	if tasks <= 0 {
-		tasks = 4096
-	}
-	rep := hls.Estimate(ann, f.Device, int64(tasks), opt)
-	if !rep.Feasible {
-		return nil, fmt.Errorf("core: design is infeasible: %s", rep.Reason)
-	}
-	return &Build{
-		Class:      cls,
-		Kernel:     k,
-		Space:      space.Identify(k),
-		Best:       rep,
-		BestKernel: ann,
-		Accelerator: &blaze.Accelerator{
-			ID:     cls.ID,
-			Layout: blaze.Layout{Class: cls, Kernel: ann},
-			Design: rep.Design(k.Name),
-		},
-	}, nil
-}
-
 // Deploy registers the build's accelerator with a Blaze manager (the
 // bit-stream broadcast step of Fig. 1).
 func (f *Framework) Deploy(b *Build, mgr *blaze.Manager) error {

@@ -6,10 +6,7 @@ import (
 
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
-	"s2fa/internal/cir"
 	"s2fa/internal/dse"
-	"s2fa/internal/hls"
-	"s2fa/internal/merlin"
 )
 
 const tinySrc = `
@@ -88,33 +85,6 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if build() != build() {
 		t.Error("same seed produced different builds")
-	}
-}
-
-func TestBuildWithDirectives(t *testing.T) {
-	fw := New()
-	cls, k, err := fw.Compile(tinySrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := merlin.Directives{Loops: map[string]cir.LoopOpt{
-		"L0": {Pipeline: cir.PipeOn, Parallel: 4},
-		"L1": {Pipeline: cir.PipeOn},
-	}}
-	b, err := fw.BuildWithDirectives(cls, k, d, hls.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Outcome != nil {
-		t.Error("directive build should skip the DSE")
-	}
-	if !strings.Contains(b.BestHLSSource(), "#pragma ACCEL") {
-		t.Error("directives missing from the annotated source")
-	}
-	// Infeasible directives are rejected.
-	bad := merlin.Directives{Loops: map[string]cir.LoopOpt{"L0": {Parallel: 256, Pipeline: cir.PipeOn}, "L1": {Parallel: 8}}}
-	if _, err := fw.BuildWithDirectives(cls, k, bad, hls.Options{}); err == nil {
-		t.Log("note: aggressive directive set remained feasible for the tiny kernel")
 	}
 }
 

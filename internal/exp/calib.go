@@ -26,21 +26,16 @@ const (
 	JVMSampleTasks = 24
 )
 
-// JVMSecondsFor models the single-threaded Spark executor time for n
-// tasks of the app by executing a sample batch and scaling. It runs the
-// closure-compiled engine; the modeled seconds depend only on Counts,
-// which the JIT preserves bit-for-bit (the differential property in
-// internal/apps), so the value is identical either way.
-func JVMSecondsFor(a *apps.App, n int) (float64, error) {
-	return JVMSecondsForEngine(a, n, true, nil)
-}
-
-// JVMSecondsForEngine is JVMSecondsFor with the execution engine
-// explicit (jit=false interprets, the pre-JIT reference path) and an
-// optional trace receiving the per-app baseline span and compile
-// telemetry. The JIT batch of a class absint proves pure runs in
-// GOMAXPROCS contiguous shards (see runBaseline); the interpreter path
-// stays sequential.
+// JVMSecondsForEngine models the single-threaded Spark executor time
+// for n tasks of the app by executing a sample batch and scaling. The
+// modeled seconds depend only on Counts, which the closure-compiled
+// engine (jit=true, what the suite and the s2fa CLI run) preserves
+// bit-for-bit, so both engines give the same value; jit=false runs the
+// reference interpreter, the oracle the golden test and s2fa-bench
+// compare against. An optional trace receives the per-app baseline span
+// and compile telemetry. The JIT batch of a class absint proves pure
+// runs in GOMAXPROCS contiguous shards (see runBaseline); the
+// interpreter path stays sequential.
 func JVMSecondsForEngine(a *apps.App, n int, jit bool, tr *obs.Trace) (float64, error) {
 	cls, err := a.Class()
 	if err != nil {
@@ -102,9 +97,7 @@ func runBaseline(cls *bytecode.Class, tasks []jvmsim.Val, jit bool, shards int) 
 	run := func(part []jvmsim.Val) (jvmsim.Counts, error) {
 		vm := jvmsim.New(cls)
 		if jit {
-			if err := vm.EnableJIT(); err != nil {
-				return jvmsim.Counts{}, err
-			}
+			vm.TryJIT() // JVMSecondsForEngine has compiled the class
 		}
 		_, err := vm.CallBatch(part)
 		return vm.Counts, err

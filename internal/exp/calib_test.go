@@ -16,10 +16,8 @@ import (
 func sequentialCounts(t *testing.T, cls *bytecode.Class, tasks []jvmsim.Val, jit bool) (jvmsim.Counts, error) {
 	t.Helper()
 	vm := jvmsim.New(cls)
-	if jit {
-		if err := vm.EnableJIT(); err != nil {
-			t.Fatal(err)
-		}
+	if jit && !vm.TryJIT() {
+		t.Fatal("TryJIT = false")
 	}
 	_, err := vm.CallBatch(tasks)
 	return vm.Counts, err

@@ -250,7 +250,7 @@ func TestJVMSecondsScalesLinearly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := JVMSecondsFor(r.App, r.App.Tasks/2)
+	half, err := JVMSecondsForEngine(r.App, r.App.Tasks/2, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,12 @@ import (
 // shares: the compiled kernel, its design space, the DSE outcomes for
 // each mode, the JVM baseline, and the manual-design estimate. All
 // randomness is derived from one seed, so every table and figure is
-// exactly reproducible.
+// exactly reproducible. The JVM baselines always run on the
+// closure-compiled engine, which preserves Counts bit-for-bit, so
+// JVMSeconds and every figure derived from it equal the interpreter's
+// (internal/exp/testdata/jvm_baseline.golden pins both); the baseline
+// of a kernel absint proves pure runs on GOMAXPROCS goroutines even in
+// a sequential suite (see JVMSecondsForEngine).
 type Suite struct {
 	Seed   int64
 	Device *fpga.Device
@@ -29,15 +34,6 @@ type Suite struct {
 	// these only trade wall-clock time.
 	Engine      dse.Engine
 	Parallelism int
-	// JIT selects the closure-compiled engine for the per-app JVM
-	// baselines (default on, see NewSuite). Like Engine, it only trades
-	// wall-clock: the JIT preserves Counts bit-for-bit, so JVMSeconds —
-	// and every figure derived from it — is byte-identical either way.
-	// The JIT baseline of a kernel absint proves pure runs on
-	// GOMAXPROCS goroutines even in a sequential suite (see
-	// JVMSecondsForEngine); with JIT off the baseline interprets on
-	// one goroutine.
-	JIT bool
 	// Trace, when non-nil, receives per-app baseline spans and JIT
 	// compile counters.
 	Trace *obs.Trace
@@ -93,10 +89,9 @@ func (r *AppResult) ManualSpeedup() float64 {
 	return r.JVMSeconds / r.ManualReport.Seconds()
 }
 
-// NewSuite builds a suite on the VU9P device. The JVM baselines run
-// closure-compiled; set JIT to false for the interpreter reference path.
+// NewSuite builds a suite on the VU9P device.
 func NewSuite(seed int64) *Suite {
-	return &Suite{Seed: seed, Device: fpga.VU9P(), JIT: true, cache: map[string]*appSlot{}}
+	return &Suite{Seed: seed, Device: fpga.VU9P(), cache: map[string]*appSlot{}}
 }
 
 // Modes selects which DSE runs Result performs.
@@ -128,7 +123,7 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		jvm, err := JVMSecondsForEngine(a, a.Tasks, s.JIT, s.Trace)
+		jvm, err := JVMSecondsForEngine(a, a.Tasks, true, s.Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -165,10 +160,10 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 // Warm precomputes the named apps' artifacts concurrently — one
 // goroutine per app — when the suite runs the parallel engine; with the
 // sequential engine it is a no-op, so apps are computed one at a time
-// (only a pure kernel's JIT baseline is sharded, see Suite.JIT). Every
-// app's computation is fully independent (own
-// kernel, space, caches, RNG streams), so the results are byte-identical
-// to computing them one by one; later Result calls are cache hits.
+// (only a pure kernel's JVM baseline is sharded, see Suite). Every
+// app's computation is fully independent (own kernel, space, caches,
+// RNG streams), so the results are byte-identical to computing them one
+// by one; later Result calls are cache hits.
 func (s *Suite) Warm(appNames []string, modes Modes) error {
 	if s.Engine != dse.EngineParallel {
 		return nil

@@ -34,9 +34,9 @@ func engines(t *testing.T, src string) (interp, jit *jvmsim.VM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmJ, err := jvmsim.NewJIT(cls)
-	if err != nil {
-		t.Fatal(err)
+	vmJ := jvmsim.New(cls)
+	if !vmJ.TryJIT() {
+		t.Fatal("TryJIT = false")
 	}
 	return jvmsim.New(cls), vmJ
 }
@@ -54,9 +54,9 @@ func TestJITSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vm, err := jvmsim.NewJIT(cls)
-		if err != nil {
-			t.Fatal(err)
+		vm := jvmsim.New(cls)
+		if !vm.TryJIT() {
+			t.Fatal("TryJIT = false")
 		}
 		in := a.Gen(rand.New(rand.NewSource(1)), 1)[0]
 		out, err := vm.Call(in)

@@ -11,10 +11,11 @@ package jvmsim
 // from the exported Val only at the invocation boundary. The compiled
 // form preserves the JVM cost model exactly: identical Counts tallies
 // (including on error paths), identical MaxSteps semantics (one step
-// per fused component), and identical outputs and error messages. The differential property and fuzz tests in
-// internal/apps prove interpreter and JIT bit-identical over all twelve
-// workloads, which is what keeps the Fig. 3/4 numbers byte-identical
-// whichever engine the suite runs.
+// per fused component), and identical outputs and error messages. The
+// differential property and fuzz tests in internal/apps prove
+// interpreter and JIT bit-identical over all twelve workloads, which is
+// what keeps the Fig. 3/4 numbers the suite computes on the JIT
+// byte-identical to the interpreter oracle's.
 
 import (
 	"fmt"
@@ -233,53 +234,25 @@ func CompileCached(c *bytecode.Class) (*Program, error) {
 	return ce.p, ce.err
 }
 
-// NewJIT returns a VM for the class that executes through the (cached)
-// closure-compiled program.
-func NewJIT(c *bytecode.Class) (*VM, error) {
-	vm := New(c)
-	if err := vm.EnableJIT(); err != nil {
-		return nil, err
-	}
-	return vm, nil
-}
-
-// EnableJIT switches the VM to compiled execution (compiling the class
-// on first use, memoized). Outputs, Counts, and errors are byte-identical
+// TryJIT switches the VM to compiled execution when possible — the
+// class compiles (once, memoized by CompileCached) and no
+// per-instruction Trace hook is installed — and reports whether
+// subsequent invocations will run compiled. It is the only switch to
+// the compiled engine: a VM that never calls it, or that carries a
+// Trace hook, interprets. Outputs, Counts, and errors are byte-identical
 // to the interpreter; only wall-clock changes.
-func (vm *VM) EnableJIT() error {
-	p, err := CompileCached(vm.Class)
-	if err != nil {
-		return err
-	}
-	vm.prog = p
-	return nil
-}
-
-// TryJIT enables compiled execution when possible — the class compiles
-// and no per-instruction Trace hook is installed — and reports whether
-// subsequent invocations will run compiled. Used by paths (the Blaze
-// JVM fallback) that want the fast engine opportunistically without
-// caring why it is unavailable.
 func (vm *VM) TryJIT() bool {
 	if vm.Trace != nil {
 		return false
 	}
-	if vm.prog != nil {
-		return true
-	}
-	return vm.EnableJIT() == nil
-}
-
-// JITEnabled reports whether invocations will execute compiled.
-func (vm *VM) JITEnabled() bool { return vm.prog != nil && vm.Trace == nil }
-
-// JITStats returns the compiled program's telemetry, when one is
-// enabled.
-func (vm *VM) JITStats() (JITStats, bool) {
 	if vm.prog == nil {
-		return JITStats{}, false
+		p, err := CompileCached(vm.Class)
+		if err != nil {
+			return false
+		}
+		vm.prog = p
 	}
-	return vm.prog.Stats(), true
+	return true
 }
 
 // compiled resolves the compiled form and reusable frame for m, or nil

@@ -8,6 +8,16 @@ import (
 	"s2fa/internal/cir"
 )
 
+// jitVM returns a VM of cls switched to compiled execution.
+func jitVM(t *testing.T, cls *bytecode.Class) *VM {
+	t.Helper()
+	vm := New(cls)
+	if !vm.TryJIT() {
+		t.Fatal("TryJIT = false")
+	}
+	return vm
+}
+
 // diffCall runs the same input through a fresh interpreter VM and a
 // fresh JIT VM of cls (both with maxSteps, zero meaning the default)
 // and asserts byte-identical outputs, errors, and Counts.
@@ -15,14 +25,8 @@ func diffCall(t *testing.T, cls *bytecode.Class, maxSteps int64, in Val) {
 	t.Helper()
 	vmI := New(cls)
 	vmI.MaxSteps = maxSteps
-	vmJ, err := NewJIT(cls)
-	if err != nil {
-		t.Fatalf("NewJIT: %v", err)
-	}
+	vmJ := jitVM(t, cls)
 	vmJ.MaxSteps = maxSteps
-	if !vmJ.JITEnabled() {
-		t.Fatal("JIT not enabled")
-	}
 	outI, errI := vmI.Call(in)
 	outJ, errJ := vmJ.Call(in)
 	if (errI == nil) != (errJ == nil) {
@@ -158,10 +162,7 @@ func TestMaxStepsBoundary(t *testing.T) {
 		diffCall(t, cls, budget, intVal(21))
 	}
 	// The method needs exactly 4 steps: budget 3 must fail, 4 succeed.
-	vm, err := NewJIT(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := jitVM(t, cls)
 	vm.MaxSteps = 3
 	if _, err := vm.Call(intVal(21)); err == nil {
 		t.Error("budget 3 should exhaust")
@@ -219,10 +220,7 @@ func TestFusionBarrierAtLeader(t *testing.T) {
 // state across tasks nor allocate per task.
 func TestFrameReuse(t *testing.T) {
 	cls := straightLineClass(t)
-	vm, err := NewJIT(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := jitVM(t, cls)
 	for i := int64(0); i < 100; i++ {
 		out, err := vm.Call(intVal(i))
 		if err != nil {
@@ -274,10 +272,7 @@ class E2 extends Accelerator[(Int, Int), Int] {
 	})
 	t.Run("arity", func(t *testing.T) {
 		cls := straightLineClass(t)
-		vmJ, err := NewJIT(cls)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vmJ := jitVM(t, cls)
 		_, errJ := vmJ.Invoke(cls.Call, nil)
 		_, errI := New(cls).Invoke(cls.Call, nil)
 		if errJ == nil || errI == nil || errJ.Error() != errI.Error() {
@@ -291,15 +286,9 @@ class E2 extends Accelerator[(Int, Int), Int] {
 // hook must fire.
 func TestTraceForcesInterpreter(t *testing.T) {
 	cls := straightLineClass(t)
-	vm, err := NewJIT(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := jitVM(t, cls)
 	fired := 0
 	vm.Trace = func(m *bytecode.Method, pc int, stack, locals []Val) { fired++ }
-	if vm.JITEnabled() {
-		t.Error("JITEnabled with Trace hook")
-	}
 	if vm.TryJIT() {
 		t.Error("TryJIT with Trace hook")
 	}
@@ -315,10 +304,7 @@ func TestTraceForcesInterpreter(t *testing.T) {
 // TestCallBatch checks the batched loop matches call-by-call execution.
 func TestCallBatch(t *testing.T) {
 	cls := straightLineClass(t)
-	vm, err := NewJIT(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := jitVM(t, cls)
 	in := []Val{intVal(1), intVal(2), intVal(3)}
 	out, err := vm.CallBatch(in)
 	if err != nil {

@@ -87,11 +87,11 @@ type VM struct {
 	// compiled path has no per-instruction observation point.
 	Trace func(m *bytecode.Method, pc int, stack []Val, locals []Val)
 
-	// prog, when non-nil, is the closure-compiled form of Class; Call,
-	// Reduce, and Invoke execute through it (unless Trace is set).
-	// frCall/frReduce are the reusable frame arenas — one per method,
-	// valid because the instruction set has no method calls, so
-	// invocations never nest. Each also keeps the free list of arrays
+	// prog, when non-nil (set by TryJIT), is the closure-compiled form
+	// of Class; Call, Reduce, and Invoke execute through it (unless
+	// Trace is set). frCall/frReduce are the reusable frame arenas — one
+	// per method, valid because the instruction set has no method calls,
+	// so invocations never nest. Each also keeps the free list of arrays
 	// its invocations allocated and did not return.
 	prog     *Program
 	frCall   *frame
@@ -115,7 +115,8 @@ func (vm *VM) budget() int64 {
 	return DefaultMaxSteps
 }
 
-// New returns a VM for the class.
+// New returns a VM for the class. It runs on the reference interpreter
+// until TryJIT switches it to compiled execution.
 func New(c *bytecode.Class) *VM {
 	return &VM{Class: c}
 }
@@ -128,7 +129,7 @@ func (vm *VM) Call(in Val) (Val, error) {
 
 // CallBatch invokes the class's call method on every task in order,
 // returning the per-task outputs. Semantically identical to calling
-// Call in a loop; on a JIT-enabled VM the reusable frame arena makes
+// Call in a loop; after TryJIT the reusable frame arena makes
 // this the compile-once/run-many fast path: once warm, a task allocates
 // only what escapes in its output (arrays the kernel allocates and does
 // not return are recycled for the next task).
