@@ -100,9 +100,9 @@ type benchReport struct {
 	StageMicros map[string]float64 `json:"stage_micros"`
 	// StagePercentiles carry the tail of the same measurement loops
 	// (p50/p99 us/op from a log-bucket histogram), so BENCH_* baselines
-	// track tail behavior, not just averages. Absent in baselines
-	// recorded before the metrics registry existed; the regression gates
-	// read only StageMicros, so old files stay valid.
+	// track tail behavior, not just averages. Absent in the earliest
+	// baselines; the regression gates read only StageMicros, so old
+	// files stay valid.
 	StagePercentiles map[string]stagePct `json:"stage_percentiles,omitempty"`
 	// CompileColdUSOp / CompileCachedUSOp time one full source-to-kernel
 	// pass over the whole workload suite: cold (frontend + verify +

@@ -38,7 +38,7 @@ func main() {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		runtimeMet = flag.String("runtime-metrics", "", "sample Go runtime metrics (GC pause, heap, allocs) while the benchmarks run and write the gauge snapshot JSON to this file at exit")
+		runtimeMet = flag.String("runtime-metrics", "", "sample Go runtime metrics (GC pause, heap, allocs) while the benchmarks run and write the go.* gauge samples to this file as a JSONL trace (render it with s2fa-report)")
 	)
 	flag.Parse()
 
@@ -71,21 +71,23 @@ func main() {
 		}()
 	}
 	if *runtimeMet != "" {
-		reg := obs.NewRegistry()
-		// Defers run LIFO: the snapshot writer is registered first so the
-		// sampler's final sample (its stop runs earlier) is included.
+		f, err := os.Create(*runtimeMet)
+		if err != nil {
+			fatal(err)
+		}
+		tr := obs.New(obs.NewJSONL(f))
+		stop := obs.StartRuntimeSampler(tr, 0)
 		defer func() {
-			f, err := os.Create(*runtimeMet)
-			if err != nil {
-				fatal(err)
+			// The final sample must land before the trace is flushed.
+			stop()
+			err := tr.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			defer f.Close()
-			if err := reg.WriteJSON(f); err != nil {
-				fatal(err)
+			if err != nil {
+				fatal(fmt.Errorf("writing runtime metrics: %w", err))
 			}
 		}()
-		stop := obs.StartRuntimeSampler(reg, 0)
-		defer stop()
 	}
 
 	if *compileN > 0 {

@@ -1,14 +1,16 @@
 // Command s2fa-report explains a recorded run offline: it reads the
-// JSONL trace written by `s2fa -trace run.jsonl` (plus, optionally, the
-// metrics snapshot from `-metrics run-metrics.json`) and renders a
-// markdown or plain-text breakdown — stage waterfall with percentiles,
-// slowest fresh HLS estimations with their bottleneck verdicts, prune
-// attribution, worker utilization, and the blaze offload-vs-fallback
-// story with per-request span trees.
+// JSONL trace written by `s2fa -trace run.jsonl` (or by
+// `s2fa-bench -runtime-metrics FILE`) and renders a markdown or
+// plain-text breakdown — stage waterfall with percentiles, slowest
+// fresh HLS estimations with their bottleneck verdicts, prune
+// attribution, the search's bandit arms and counters, worker
+// utilization, the blaze offload-vs-fallback story with per-request
+// span trees, and the last Go runtime sample when the run recorded one
+// (`-runtime-metrics`).
 //
 // Usage:
 //
-//	s2fa-report -trace run.jsonl [-metrics run-metrics.json] [-format md|text] [-top 5] [-o report.md]
+//	s2fa-report -trace run.jsonl [-format md|text] [-top 5] [-o report.md]
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 
 func main() {
 	tracePath := flag.String("trace", "", "JSONL trace to explain (required)")
-	metricsPath := flag.String("metrics", "", "optional metrics snapshot JSON")
 	format := flag.String("format", "md", "output format: md (markdown tables) or text (aligned columns)")
 	topN := flag.Int("top", 5, "how many slow estimations to list")
 	outPath := flag.String("o", "", "write the report here instead of stdout")
@@ -44,25 +45,12 @@ func main() {
 		fatal(fmt.Errorf("reading trace %s: %w", *tracePath, err))
 	}
 
-	var snap *obs.MetricsSnapshot
-	if *metricsPath != "" {
-		mf, err := os.Open(*metricsPath)
-		if err != nil {
-			fatal(err)
-		}
-		snap, err = obs.ReadMetricsJSON(mf)
-		mf.Close()
-		if err != nil {
-			fatal(fmt.Errorf("reading metrics %s: %w", *metricsPath, err))
-		}
-	}
-
 	switch *format {
 	case "md", "text":
 	default:
 		fatal(fmt.Errorf("unknown -format %q (want md or text)", *format))
 	}
-	body := report.Render(events, snap, report.Options{
+	body := report.Render(events, report.Options{
 		TopN:     *topN,
 		Markdown: *format == "md",
 	})

@@ -46,7 +46,7 @@ func main() {
 		appName     = flag.String("app", "", "built-in workload name ("+strings.Join(apps.Names(), ", ")+")")
 		dseMode     = flag.String("dse", "s2fa", "exploration mode: s2fa | vanilla | trivial")
 		par         = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
-		tasks       = flag.Int("tasks", 4096, "batch size the design is optimized for")
+		tasks       = flag.Int("tasks", 0, "batch size the design is optimized for (0 = the app's own batch, 4096 for -src)")
 		seed        = flag.Int64("seed", 1, "random seed (reproducible runs)")
 		lintOnly    = flag.Bool("lint", false, "run the static verifier on the generated kernel, print findings, and exit (status 1 on errors)")
 		explain     = flag.Bool("explain", false, "print the abstract interpreter's fact report (§3.3 violations with kdsl positions, purity, value ranges) and exit (status 1 on violations)")
@@ -57,12 +57,9 @@ func main() {
 		traceFormat = flag.String("trace-format", "jsonl", "trace file format: jsonl | chrome (load the latter in chrome://tracing or Perfetto)")
 		summary     = flag.Bool("summary", false, "print the s2fa-report run explanation (stage waterfall, slowest HLS estimations, prune attribution, bandit arms, entropy sparkline, counters) as plain text after the run")
 
-		metricsPath  = flag.String("metrics", "", "write a metrics-registry snapshot (per-stage latency histograms with p50/p90/p99, counters, gauges) to this file")
-		metricsForm  = flag.String("metrics-format", "json", "metrics snapshot format: json (for s2fa-report) | prom (Prometheus text exposition)")
-		recorderPath = flag.String("recorder", "", "attach the flight recorder and write its anomaly dumps (slow HLS estimations, budget-exhausted stops, blaze fallbacks) to this file")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		runtimeMet   = flag.Bool("runtime-metrics", false, "sample Go runtime metrics (GC pause, heap, allocs) into the metrics registry while the run executes")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		runtimeMet = flag.Bool("runtime-metrics", false, "sample Go runtime metrics (GC pause, heap, allocs) as go.* gauges into the run's trace (-trace / -summary) while the run executes")
 	)
 	flag.Parse()
 
@@ -73,6 +70,7 @@ func main() {
 	}
 
 	var src string
+	app := apps.Get(*appName)
 	switch {
 	case *srcPath != "":
 		data, err := os.ReadFile(*srcPath)
@@ -80,17 +78,13 @@ func main() {
 			fatal(err)
 		}
 		src = string(data)
+	case app == nil:
+		fmt.Fprintln(os.Stderr, "s2fa: "+unknownAppMessage(*appName))
+		os.Exit(2)
 	default:
-		a := apps.Get(*appName)
-		if a == nil {
-			fmt.Fprintln(os.Stderr, "s2fa: "+unknownAppMessage(*appName))
-			os.Exit(2)
-		}
-		src = a.Source
-		if *tasks == 4096 {
-			*tasks = a.Tasks
-		}
+		src = app.Source
 	}
+	*tasks = batchSize(*tasks, app)
 
 	// Observability: a trace file and/or an in-memory sink whose events
 	// -summary renders. A nil trace is free; a live one never changes the
@@ -116,26 +110,9 @@ func main() {
 		mem = obs.NewMemory()
 		sinks = append(sinks, mem)
 	}
-	var recorder *obs.Recorder
-	if *recorderPath != "" {
-		recorder = obs.NewRecorder(obs.RecorderConfig{})
-		sinks = append(sinks, recorder)
-	}
-	var reg *obs.Registry
-	if *metricsPath != "" || *runtimeMet {
-		reg = obs.NewRegistry()
-	}
 	var tr *obs.Trace
-	if len(sinks) > 0 || reg != nil {
-		var opts []obs.Option
-		if reg != nil {
-			opts = append(opts, obs.WithRegistry(reg))
-		}
-		sink := obs.Sink(obs.Discard())
-		if len(sinks) > 0 {
-			sink = obs.Multi(sinks...)
-		}
-		tr = obs.New(sink, opts...)
+	if len(sinks) > 0 {
+		tr = obs.New(obs.Multi(sinks...))
 	}
 
 	// Profiling hooks. The profiles and samplers observe the run; they
@@ -166,46 +143,10 @@ func main() {
 			}
 		}()
 	}
-	// Defers run LIFO: the snapshot writer is registered first so the
-	// sampler's final sample (its stop runs earlier) is included.
-	if reg != nil && *metricsPath != "" {
-		defer func() {
-			f, err := os.Create(*metricsPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			switch *metricsForm {
-			case "json":
-				err = reg.WriteJSON(f)
-			case "prom":
-				err = reg.WritePrometheus(f)
-			default:
-				err = fmt.Errorf("unknown -metrics-format %q (want json or prom)", *metricsForm)
-			}
-			if err != nil {
-				fatal(err)
-			}
-		}()
-	}
+	stopSampler := func() {}
 	if *runtimeMet {
-		stop := obs.StartRuntimeSampler(reg, 0)
-		defer stop()
-	}
-	if recorder != nil {
-		defer func() {
-			f, err := os.Create(*recorderPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			if err := recorder.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if n := len(recorder.Dumps()); n > 0 {
-				fmt.Printf("flight recorder: %d anomaly dump(s) written to %s\n", n, *recorderPath)
-			}
-		}()
+		stopSampler = obs.StartRuntimeSampler(tr, 0)
+		defer stopSampler()
 	}
 
 	fw := core.New()
@@ -324,8 +265,8 @@ func main() {
 	fmt.Printf("estimated kernel time for %d tasks: %.6fs\n", *tasks, build.Best.Seconds())
 	// For built-in workloads, report the Fig. 4 comparison point: the
 	// modeled single-thread JVM executor time and the resulting speedup.
-	if a := apps.Get(*appName); a != nil {
-		jvmSec, err := exp.JVMSecondsForEngine(a, *tasks, true, tr)
+	if app != nil {
+		jvmSec, err := exp.JVMSecondsForEngine(app, *tasks, true, tr)
 		if err != nil {
 			fatal(err)
 		}
@@ -338,17 +279,27 @@ func main() {
 		fmt.Println("--- chosen design (annotated HLS C) ---")
 		fmt.Println(build.BestHLSSource())
 	}
+	// The sampler's final sample must land before the sinks close.
+	stopSampler()
 	if err := tr.Close(); err != nil {
 		fatal(fmt.Errorf("writing trace: %w", err))
 	}
 	if mem != nil {
-		var snap *obs.MetricsSnapshot
-		if reg != nil {
-			snap = reg.Snapshot()
-		}
 		fmt.Println("--- run summary ---")
-		fmt.Print(report.Render(mem.Events(), snap, report.Options{}))
+		fmt.Print(report.Render(mem.Events(), report.Options{}))
 	}
+}
+
+// batchSize resolves -tasks: an explicit batch wins; 0 means the
+// built-in app's own batch, or 4096 for a -src kernel.
+func batchSize(tasks int, app *apps.App) int {
+	switch {
+	case tasks != 0:
+		return tasks
+	case app != nil:
+		return app.Tasks
+	}
+	return 4096
 }
 
 // dependReport renders the exact dependence analysis behind every

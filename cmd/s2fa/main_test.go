@@ -17,6 +17,32 @@ func TestUnknownAppMessage(t *testing.T) {
 	}
 }
 
+// TestBatchSize pins how -tasks resolves: an explicit batch always
+// wins, including 4096 for a built-in app whose own batch differs;
+// 0 (the default) means the app's own batch, or 4096 for -src.
+func TestBatchSize(t *testing.T) {
+	sw := apps.Get("S-W")
+	if sw.Tasks == 4096 {
+		t.Fatal("S-W's own batch is 4096; the table below needs an app whose batch differs")
+	}
+	for _, tc := range []struct {
+		name  string
+		tasks int
+		app   *apps.App
+		want  int
+	}{
+		{"app default", 0, sw, sw.Tasks},
+		{"app explicit 4096", 4096, sw, 4096},
+		{"app explicit other", 512, sw, 512},
+		{"src default", 0, nil, 4096},
+		{"src explicit", 100, nil, 100},
+	} {
+		if got := batchSize(tc.tasks, tc.app); got != tc.want {
+			t.Errorf("%s: batchSize(%d) = %d, want %d", tc.name, tc.tasks, got, tc.want)
+		}
+	}
+}
+
 // TestAccessReportSW checks the -explain memory section on the
 // Smith-Waterman workload: the access table classifies the cell loop's
 // H traversal as burst with the 32-lane port cap attached, names the

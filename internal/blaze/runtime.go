@@ -315,8 +315,6 @@ func (a *AccRDD) execKernel(acc *Accelerator, enc *Encoder, tasks []jvmsim.Val, 
 			obs.I64("sim_ns", st.SimTime.Nanoseconds()))
 		tr.Count("blaze.offloads", 1)
 		tr.Count("blaze.bytes_serialized", int64(bytes))
-		tr.Observe("blaze_offload_bytes", float64(bytes))
-		tr.Observe("blaze_sim_ms", float64(st.SimTime.Nanoseconds())/1e6, obs.L("path", "offload"))
 	}
 	return bufs, st, nil
 }
@@ -339,8 +337,6 @@ func (a *AccRDD) fallbackMap(vm *jvmsim.VM, tasks []jvmsim.Val, why string, req 
 	}
 	cm := jvmsim.DefaultCostModel()
 	st := Stats{Fallback: why, Tasks: len(tasks), SimTime: cm.Duration(vm.Counts)}
-	a.mgr.Trace.Observe("blaze_sim_ms",
-		float64(st.SimTime.Nanoseconds())/1e6, obs.L("path", "fallback"))
 	return out, st, nil
 }
 

@@ -21,8 +21,8 @@
 // the checksum stored when the entry was built. A mismatch means the
 // cached kernel was mutated or corrupted after insertion ("poisoned"):
 // the entry is evicted, the incident is counted (ccache.poisoned) and
-// flagged to the flight recorder as a ccache/poisoned instant, and the
-// caller falls back to a fresh compile. Concurrent misses on one
+// traced as a ccache/poisoned instant, and the caller falls back to a
+// fresh compile. Concurrent misses on one
 // fingerprint are single-flighted: the first caller compiles, the rest
 // block on its result.
 //
@@ -253,7 +253,7 @@ func compileMiss(cls *bytecode.Class, facts *absint.ClassFacts, fp Fingerprint, 
 
 // verify re-derives the entry's checksum and compares it to the stored
 // one. On mismatch the entry is evicted, the poisoning is counted and
-// surfaced to the flight recorder, and false is returned so the caller
+// traced as a ccache/poisoned instant, and false is returned so the caller
 // recompiles from scratch.
 func (c *Cache) verify(e *Entry, tr *obs.Trace) bool {
 	sum := sha256.Sum256([]byte(cir.Print(e.Kernel)))

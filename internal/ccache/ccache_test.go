@@ -78,12 +78,12 @@ func TestSemanticHit(t *testing.T) {
 
 // TestPoisoningFallback corrupts a cached entry and checks the full
 // recovery path: the checksum mismatch is detected on the next hit, the
-// entry is evicted, the incident is counted and dumped by the flight
-// recorder, and the caller gets a fresh, valid compile.
+// entry is evicted, the incident is counted and traced as one
+// ccache/poisoned instant, and the caller gets a fresh, valid compile.
 func TestPoisoningFallback(t *testing.T) {
 	src := apps.All()[0].Source
-	rec := obs.NewRecorder(obs.RecorderConfig{})
-	tr := obs.New(rec)
+	mem := obs.NewMemory()
+	tr := obs.New(mem)
 	c := New()
 	_, e, err := c.CompileSource(src, tr)
 	if err != nil {
@@ -115,9 +115,14 @@ func TestPoisoningFallback(t *testing.T) {
 		t.Fatalf("obs counter ccache.poisoned=%d, want 1", got)
 	}
 	tr.Close()
-	dumps := rec.Dumps()
-	if len(dumps) != 1 || dumps[0].Reason != obs.ReasonCachePoisoned {
-		t.Fatalf("recorder dumps=%v, want one %s dump", dumps, obs.ReasonCachePoisoned)
+	var poisoned []obs.Event
+	for _, e := range mem.Events() {
+		if e.Ph == obs.PhaseInstant && e.Cat == "ccache" && e.Name == "poisoned" {
+			poisoned = append(poisoned, e)
+		}
+	}
+	if len(poisoned) != 1 {
+		t.Fatalf("traced %d ccache/poisoned instants, want 1: %v", len(poisoned), poisoned)
 	}
 }
 

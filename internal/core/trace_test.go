@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
@@ -128,20 +130,21 @@ func TestTracingDeterminism(t *testing.T) {
 		t.Errorf("chrome export dropped events: %d < %d", len(doc.TraceEvents), len(events))
 	}
 
-	// Maximum observability must still be free: metrics registry, flight
-	// recorder, AND the parallel engine (whose pool goroutines run under
-	// pprof labels) attached at once, yet the seed-42 trajectory stays
+	// Maximum observability must still be free: a JSONL and a Chrome
+	// sink, the Go runtime sampler emitting into the same trace from its
+	// own goroutine, AND the parallel engine (whose pool goroutines run
+	// under pprof labels) at once, yet the seed-42 trajectory stays
 	// byte-identical to the bare sequential run.
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(obs.RecorderConfig{})
-	var heavy bytes.Buffer
-	tr2 := obs.New(obs.Multi(obs.NewJSONL(&heavy), rec), obs.WithRegistry(reg))
+	var heavy, heavyChrome bytes.Buffer
+	tr2 := obs.New(obs.Multi(obs.NewJSONL(&heavy), obs.NewChrome(&heavyChrome)))
+	stopSampler := obs.StartRuntimeSampler(tr2, time.Millisecond)
 	full := buildSW(t, tr2, true)
+	stopSampler()
 	if err := tr2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if fj := fmt.Sprintf("%v", full.Outcome.Trajectory); fj != pj {
-		t.Errorf("registry+recorder+parallel run perturbed the trajectory:\nfull     %s\nuntraced %s", fj, pj)
+		t.Errorf("chrome+sampler+parallel run perturbed the trajectory:\nfull     %s\nuntraced %s", fj, pj)
 	}
 	if got, want := full.Outcome.Best.Point.Key(), plain.Outcome.Best.Point.Key(); got != want {
 		t.Errorf("full-observability best design differs: %s vs %s", got, want)
@@ -155,20 +158,32 @@ func TestTracingDeterminism(t *testing.T) {
 			full.Outcome.Evaluations, plain.Outcome.Evaluations)
 	}
 
-	// And the observers must actually have observed: the registry's eval
-	// counter matches the outcome, and the auto-wired span histograms
-	// carry at least the DSE stage.
-	snap := reg.Snapshot()
-	if got := snap.Counters["dse.evals"]; got != int64(full.Outcome.Evaluations) {
-		t.Errorf("registry dse.evals = %d, want %d", got, full.Outcome.Evaluations)
+	// And the observers must actually have observed: the trace's eval
+	// counter matches the outcome, the JSONL holds the DSE run span and
+	// the sampler's go.* gauges, and the Chrome document parses.
+	if got := tr2.Counters()["dse.evals"]; got != int64(full.Outcome.Evaluations) {
+		t.Errorf("trace dse.evals = %d, want %d", got, full.Outcome.Evaluations)
 	}
-	var sawDSEStage bool
-	for name := range snap.Histograms {
-		if name == `stage_us{stage="dse/run"}` {
-			sawDSEStage = true
-		}
+	heavyEvents, err := obs.ReadJSONL(bytes.NewReader(heavy.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawDSEStage {
-		t.Errorf("registry missing auto-wired stage_us{stage=\"dse/run\"} histogram (have %d series)", len(snap.Histograms))
+	var sawDSERun, sawRuntime bool
+	for _, e := range heavyEvents {
+		sawDSERun = sawDSERun || (e.Ph == obs.PhaseBegin && e.Cat == "dse" && e.Name == "run")
+		sawRuntime = sawRuntime || (e.Ph == obs.PhaseCounter && strings.HasPrefix(e.Name, "go."))
+	}
+	if !sawDSERun {
+		t.Error("full-observability trace missing the dse/run span")
+	}
+	if !sawRuntime {
+		t.Error("full-observability trace missing the runtime sampler's go.* gauges")
+	}
+	doc.TraceEvents = nil
+	if err := json.Unmarshal(heavyChrome.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome sink output is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) < len(heavyEvents) {
+		t.Errorf("chrome sink dropped events: %d < %d", len(doc.TraceEvents), len(heavyEvents))
 	}
 }

@@ -488,10 +488,6 @@ func (s *scheduler) absorb(w *worker, results []tuner.Result, iterMinutes float6
 	}
 
 	tr := s.cfg.Trace
-	// Virtual-clock metrics: how many simulated synthesis minutes each
-	// iteration costs (0 for all-cached batches). Registry-only — no
-	// trace event, no effect on the schedule.
-	tr.Observe("dse_iter_minutes", iterMinutes)
 	stop := false
 	for _, r := range results {
 		s.evals++
@@ -505,9 +501,6 @@ func (s *scheduler) absorb(w *worker, results []tuner.Result, iterMinutes float6
 				obs.Bool("feasible", r.Feasible),
 				obs.F64("minutes", r.Minutes))
 			tr.Count("dse.evals", 1)
-		}
-		if r.Feasible {
-			tr.Observe("dse_objective_seconds", r.Objective)
 		}
 		if r.Feasible && math.IsNaN(s.out.FirstFeasible) {
 			s.out.FirstFeasible = r.Objective

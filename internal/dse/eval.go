@@ -88,7 +88,6 @@ func estimate(eval tuner.Evaluator, pool *evalPool, tr *obs.Trace) func(space.Po
 		// Merlin-rejected points carry a nil Meta (estimated results
 		// always carry their hls.Report).
 		span.End(estimateEndKVs(r, r.Meta == nil && !r.Feasible)...)
-		tr.Observe("hls_synth_minutes", r.Minutes)
 		r.Point = pt
 		return r
 	}

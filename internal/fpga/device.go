@@ -51,11 +51,6 @@ func VU9P() *Device {
 	}
 }
 
-// Budget returns the usable amount of a resource given the cap.
-func (d *Device) Budget(total int) int {
-	return int(float64(total) * d.UsableFrac)
-}
-
 // Design is a synthesized accelerator design: the outcome of DSE plus
 // bitstream generation, ready to execute batches.
 type Design struct {

@@ -19,13 +19,6 @@ func TestVU9PCapacities(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	d := VU9P()
-	if got := d.Budget(1000); got != 750 {
-		t.Errorf("Budget(1000) = %d", got)
-	}
-}
-
 func TestExecuteOverlapsTransferAndCompute(t *testing.T) {
 	d := VU9P()
 	d.InvokeOverhead = 0

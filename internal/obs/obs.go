@@ -1,7 +1,9 @@
 // Package obs is the framework's zero-dependency observability layer:
-// hierarchical tracing spans, instant events, and monotonic counters,
+// hierarchical tracing spans, instant events, monotonic counters, and
+// gauges (including the Go runtime samples of StartRuntimeSampler),
 // emitted to pluggable sinks (JSONL stream, Chrome trace_event file,
-// in-memory event list). internal/report explains a recorded run.
+// in-memory event list). The trace is the one observability channel:
+// internal/report explains a recorded run from its events alone.
 //
 // Every event carries a dual clock. The real clock is monotonic
 // nanoseconds since the trace started and measures where the *tool*
@@ -103,7 +105,6 @@ type Trace struct {
 	sink  Sink
 	start time.Time
 	now   func() int64 // ns since start; injectable for tests
-	reg   *Registry    // optional metrics registry; nil is free
 
 	nextID   int64
 	open     map[int][]int64 // per-tid stack of open span ids
@@ -117,16 +118,6 @@ type Option func(*Trace)
 // Tests use a deterministic counter so emitted bytes are reproducible.
 func WithClock(now func() int64) Option {
 	return func(t *Trace) { t.now = now }
-}
-
-// WithRegistry attaches a metrics registry: every span close feeds the
-// dual-clock stage histograms (stage_us from the real clock; stage_vmin
-// when both endpoints carry a Vmin stamp), and call sites may record
-// further series via Trace.Observe. Like the trace itself, the registry
-// only aggregates values the run already computed — attaching one never
-// perturbs a run.
-func WithRegistry(r *Registry) Option {
-	return func(t *Trace) { t.reg = r }
 }
 
 // New creates an enabled trace writing to sink.
@@ -162,13 +153,11 @@ func (t *Trace) Close() error {
 // Span is an open interval on one track. A nil *Span (from a nil trace)
 // no-ops on End.
 type Span struct {
-	t       *Trace
-	id      int64
-	tid     int
-	cat     string
-	name    string
-	beginNS int64
-	beginVM *float64
+	t    *Trace
+	id   int64
+	tid  int
+	cat  string
+	name string
 }
 
 // Begin opens a span on the pipeline track (tid 0).
@@ -193,7 +182,7 @@ func (t *Trace) BeginT(tid int, cat, name string, kvs ...KV) *Span {
 	applyKVs(&e, kvs)
 	t.open[tid] = append(t.open[tid], id)
 	t.sink.Emit(e)
-	return &Span{t: t, id: id, tid: tid, cat: cat, name: name, beginNS: e.NS, beginVM: e.VM}
+	return &Span{t: t, id: id, tid: tid, cat: cat, name: name}
 }
 
 // End closes the span, attaching any final attributes (outcomes,
@@ -242,17 +231,6 @@ func (s *Span) End(kvs ...KV) {
 	}
 	applyKVs(&e, kvs)
 	t.sink.Emit(e)
-	if t.reg != nil {
-		stage := s.name
-		if s.cat != "" {
-			stage = s.cat + "/" + s.name
-		}
-		lbl := L("stage", stage)
-		t.reg.Observe("stage_us", float64(e.NS-s.beginNS)/1e3, lbl)
-		if s.beginVM != nil && e.VM != nil {
-			t.reg.Observe("stage_vmin", *e.VM-*s.beginVM, lbl)
-		}
-	}
 }
 
 // Event emits an instant event on the pipeline track.
@@ -286,9 +264,6 @@ func (t *Trace) Count(name string, delta int64) {
 		Ph: PhaseCounter, Name: name, NS: t.now(),
 		Args: map[string]any{"value": t.counters[name]},
 	})
-	if t.reg != nil {
-		t.reg.Add(name, delta)
-	}
 }
 
 // Gauge emits a point-in-time sample of a named quantity.
@@ -302,27 +277,6 @@ func (t *Trace) Gauge(name string, v float64) {
 		Ph: PhaseCounter, Name: name, NS: t.now(),
 		Args: map[string]any{"value": v},
 	})
-	if t.reg != nil {
-		t.reg.Set(name, v)
-	}
-}
-
-// Observe records v into the attached registry's histogram series,
-// emitting no trace event. A trace without a registry (and a nil trace)
-// no-ops, so hot paths need no guards.
-func (t *Trace) Observe(name string, v float64, labels ...Label) {
-	if t == nil || t.reg == nil {
-		return
-	}
-	t.reg.Observe(name, v, labels...)
-}
-
-// Metrics returns the attached registry, or nil.
-func (t *Trace) Metrics() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
 }
 
 // Counters returns a snapshot of the monotonic counter totals.

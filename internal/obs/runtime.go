@@ -1,9 +1,9 @@
 package obs
 
 // Periodic runtime/metrics sampling: GC pauses, heap footprint, alloc
-// volume, and goroutine count, recorded as registry gauges so a metrics
-// snapshot explains not just where the pipeline spent time but what the
-// Go runtime was doing underneath it. Sampling is read-only (the
+// volume, and goroutine count, emitted as go.* trace gauges so a
+// recorded run explains not just where the pipeline spent time but what
+// the Go runtime was doing underneath it. Sampling is read-only (the
 // runtime/metrics API has no side effects) and entirely outside the
 // deterministic pipeline: gauges never feed back into a run.
 
@@ -29,10 +29,10 @@ var runtimeSamples = []struct {
 // p50/p99 gauges in seconds.
 const gcPauses = "/sched/pauses/total/gc:seconds"
 
-// SampleRuntime takes one runtime/metrics sample into reg's gauges.
-// Safe to call at any time; a nil registry no-ops.
-func SampleRuntime(reg *Registry) {
-	if reg == nil {
+// SampleRuntime takes one runtime/metrics sample and emits it as go.*
+// gauges on tr. Safe to call at any time; a nil trace no-ops.
+func SampleRuntime(tr *Trace) {
+	if tr == nil {
 		return
 	}
 	samples := make([]metrics.Sample, 0, len(runtimeSamples)+1)
@@ -44,15 +44,15 @@ func SampleRuntime(reg *Registry) {
 	for i, rs := range runtimeSamples {
 		switch samples[i].Value.Kind() {
 		case metrics.KindUint64:
-			reg.Set(rs.gauge, float64(samples[i].Value.Uint64()))
+			tr.Gauge(rs.gauge, float64(samples[i].Value.Uint64()))
 		case metrics.KindFloat64:
-			reg.Set(rs.gauge, samples[i].Value.Float64())
+			tr.Gauge(rs.gauge, samples[i].Value.Float64())
 		}
 	}
 	if p := samples[len(samples)-1]; p.Value.Kind() == metrics.KindFloat64Histogram {
 		h := p.Value.Float64Histogram()
-		reg.Set("go.gc_pause_p50_seconds", histQuantile(h, 0.50))
-		reg.Set("go.gc_pause_p99_seconds", histQuantile(h, 0.99))
+		tr.Gauge("go.gc_pause_p50_seconds", histQuantile(h, 0.50))
+		tr.Gauge("go.gc_pause_p99_seconds", histQuantile(h, 0.99))
 	}
 }
 
@@ -86,12 +86,13 @@ func histQuantile(h *metrics.Float64Histogram, p float64) float64 {
 	return h.Buckets[len(h.Buckets)-1]
 }
 
-// StartRuntimeSampler samples runtime metrics into reg every interval
+// StartRuntimeSampler samples runtime metrics into tr every interval
 // until the returned stop function is called. Stop is idempotent and
 // waits for the sampling goroutine to exit; it always takes one final
-// sample so short runs still record their footprint.
-func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
-	if reg == nil {
+// sample so short runs still record their footprint. Call it before
+// closing tr. A nil trace starts nothing and returns a no-op stop.
+func StartRuntimeSampler(tr *Trace, interval time.Duration) (stop func()) {
+	if tr == nil {
 		return func() {}
 	}
 	if interval <= 0 {
@@ -107,9 +108,9 @@ func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
 		for {
 			select {
 			case <-tick.C:
-				SampleRuntime(reg)
+				SampleRuntime(tr)
 			case <-done:
-				SampleRuntime(reg)
+				SampleRuntime(tr)
 				return
 			}
 		}

@@ -41,18 +41,6 @@ func (s *jsonlSink) Close() error {
 	return s.bw.Flush()
 }
 
-// discardSink drops every event. Useful when only the side products of
-// an enabled trace are wanted (a metrics registry, pprof labels) without
-// retaining the event stream.
-type discardSink struct{}
-
-// Discard returns a sink that drops all events.
-func Discard() Sink { return discardSink{} }
-
-func (discardSink) Emit(Event) {}
-
-func (discardSink) Close() error { return nil }
-
 // chromeSink buffers events and writes one Chrome trace_event JSON
 // document on Close (chrome://tracing and Perfetto load it directly).
 type chromeSink struct {

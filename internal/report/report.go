@@ -1,11 +1,12 @@
-// Package report turns a recorded run — a JSONL trace plus an optional
-// metrics snapshot — into an offline explanation: where the tool spent
+// Package report turns a recorded run — its trace events, and nothing
+// else — into an offline explanation: where the tool spent
 // time (stage waterfall with percentiles), which fresh HLS estimations
 // were slowest and why (bottleneck verdicts with their offending access
 // sites), how much of the design space each static analysis pruned,
 // how the search itself behaved (bandit arms, the entropy window, final
-// counters), how busy the parallel engine's workers were, and how blaze
-// requests split between accelerator offload and JVM fallback. It is
+// counters), how busy the parallel engine's workers were, how blaze
+// requests split between accelerator offload and JVM fallback, and what
+// the Go runtime gauges read at their last sample. It is
 // the one run explainer: s2fa-report renders it from files, and
 // `s2fa -summary` renders it in-process from an in-memory sink.
 //
@@ -40,10 +41,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Render produces the explanation for one run. metrics may be nil (the
-// runtime-gauge section is skipped); events must be the full trace in
-// emission order.
-func Render(events []obs.Event, metrics *obs.MetricsSnapshot, opt Options) string {
+// Render produces the explanation for one run; events must be the full
+// trace in emission order.
+func Render(events []obs.Event, opt Options) string {
 	opt = opt.withDefaults()
 	a := analyze(events)
 	var b strings.Builder
@@ -54,10 +54,10 @@ func Render(events []obs.Event, metrics *obs.MetricsSnapshot, opt Options) strin
 	a.renderSlowEstimations(&b, opt)
 	a.renderPrunes(&b, opt)
 	a.renderSearch(&b, opt)
-	renderCompileCache(&b, a, metrics, opt)
+	a.renderCompileCache(&b, opt)
 	a.renderWorkers(&b, opt)
 	a.renderBlaze(&b, opt)
-	renderRuntime(&b, metrics, opt)
+	a.renderRuntime(&b, opt)
 	return b.String()
 }
 
@@ -224,9 +224,10 @@ func analyze(events []obs.Event) *analysis {
 				a.counters[e.Name] = asInt(v)
 			case float64:
 				// JSON round-trips integers as float64; integral values
-				// that look like running counters stay counters.
+				// that look like running counters stay counters, except
+				// the Go runtime's go.* gauges, which are never counted.
 				f := v.(float64)
-				if f == math.Trunc(f) {
+				if f == math.Trunc(f) && !isRuntimeGauge(e.Name) {
 					a.counters[e.Name] = int64(f)
 				}
 				a.gauges[e.Name] = f
@@ -441,26 +442,15 @@ func Sparkline(values []float64, width int) string {
 }
 
 // renderCompileCache surfaces the content-addressed compile cache:
-// hit/miss/poisoning counts and cached-entry bytes. Counter events from
-// the trace win; the ccache.* series of a metrics snapshot (headless
-// runs that only kept the registry) are the fallback, so the section
-// appears either way. Absent entirely when no cache was attached —
-// hit runs are also visible indirectly in the waterfall, where the
-// kdsl/b2c stage counts drop below the kernel count.
-func renderCompileCache(b *strings.Builder, a *analysis, m *obs.MetricsSnapshot, opt Options) {
-	get := func(name string) int64 {
-		if v := a.counters[name]; v != 0 {
-			return v
-		}
-		if m != nil {
-			return m.Counters[name]
-		}
-		return 0
-	}
-	hits := get("ccache.hits")
-	misses := get("ccache.misses")
-	poisoned := get("ccache.poisoned")
-	bytes := get("ccache.bytes")
+// hit/miss/poisoning counts and cached-entry bytes, from the trace's
+// ccache.* counters. Absent entirely when no cache was attached — hit
+// runs are also visible indirectly in the waterfall, where the kdsl/b2c
+// stage counts drop below the kernel count.
+func (a *analysis) renderCompileCache(b *strings.Builder, opt Options) {
+	hits := a.counters["ccache.hits"]
+	misses := a.counters["ccache.misses"]
+	poisoned := a.counters["ccache.poisoned"]
+	bytes := a.counters["ccache.bytes"]
 	if hits == 0 && misses == 0 && poisoned == 0 {
 		return
 	}
@@ -566,13 +556,16 @@ func (a *analysis) renderBlaze(b *strings.Builder, opt Options) {
 	}
 }
 
-func renderRuntime(b *strings.Builder, m *obs.MetricsSnapshot, opt Options) {
-	if m == nil || len(m.Gauges) == 0 {
-		return
-	}
+// isRuntimeGauge reports whether a counter-phase sample is one of the
+// go.* gauges obs.SampleRuntime emits.
+func isRuntimeGauge(name string) bool { return strings.HasPrefix(name, "go.") }
+
+// renderRuntime lists the last sample of every go.* gauge the run's
+// runtime sampler emitted (s2fa -runtime-metrics).
+func (a *analysis) renderRuntime(b *strings.Builder, opt Options) {
 	var keys []string
-	for k := range m.Gauges { //determinism:allow sorted below
-		if strings.HasPrefix(k, "go.") {
+	for k := range a.gauges { //determinism:allow sorted below
+		if isRuntimeGauge(k) {
 			keys = append(keys, k)
 		}
 	}
@@ -583,7 +576,7 @@ func renderRuntime(b *strings.Builder, m *obs.MetricsSnapshot, opt Options) {
 	b.WriteString("\n## Go runtime (final sample)\n\n")
 	rows := [][]string{{"gauge", "value"}}
 	for _, k := range keys {
-		rows = append(rows, []string{k, fmt.Sprintf("%g", m.Gauges[k])})
+		rows = append(rows, []string{k, fmt.Sprintf("%g", a.gauges[k])})
 	}
 	writeTable(b, rows, opt)
 }

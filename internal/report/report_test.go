@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
@@ -28,13 +30,12 @@ var update = flag.Bool("update", false, "rewrite the golden report in testdata/"
 // therefore every rendered duration and percentile — is a pure function
 // of the code path, not of the machine. The blaze MapAcc batch at the
 // end puts the offload story in the trace too.
-func traceSW(t *testing.T) ([]obs.Event, *obs.MetricsSnapshot) {
+func traceSW(t *testing.T) []obs.Event {
 	t.Helper()
 	var ns int64
 	clock := func() int64 { ns += 1000; return ns }
-	reg := obs.NewRegistry()
 	var jsonl bytes.Buffer
-	tr := obs.New(obs.NewJSONL(&jsonl), obs.WithClock(clock), obs.WithRegistry(reg))
+	tr := obs.New(obs.NewJSONL(&jsonl), obs.WithClock(clock))
 
 	a := apps.Get("S-W")
 	fw := core.New()
@@ -59,22 +60,13 @@ func traceSW(t *testing.T) ([]obs.Event, *obs.MetricsSnapshot) {
 		t.Fatal(err)
 	}
 
+	// Decode the JSONL exactly as s2fa-report does, so the golden test
+	// also covers the integer-to-float64 decode path.
 	events, err := obs.ReadJSONL(bytes.NewReader(jsonl.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-trip the snapshot through its JSON form, exactly as the
-	// s2fa -metrics → s2fa-report pipeline does, so the golden test also
-	// covers the integer-to-float64 decode path.
-	var mj bytes.Buffer
-	if err := reg.WriteJSON(&mj); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := obs.ReadMetricsJSON(&mj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events, snap
+	return events
 }
 
 // TestReportGolden locks the full markdown explanation of the S-W
@@ -84,8 +76,7 @@ func traceSW(t *testing.T) ([]obs.Event, *obs.MetricsSnapshot) {
 //
 //	go test ./internal/report -run TestReportGolden -update
 func TestReportGolden(t *testing.T) {
-	events, snap := traceSW(t)
-	got := report.Render(events, snap, report.Options{Markdown: true})
+	got := report.Render(traceSW(t), report.Options{Markdown: true})
 
 	golden := filepath.Join("testdata", "sw_seed42.md")
 	if *update {
@@ -106,8 +97,7 @@ func TestReportGolden(t *testing.T) {
 // TestReportRendersBothFormats sanity-checks the text renderer against
 // the same trace: same sections, no markdown pipes in the aligned form.
 func TestReportRendersBothFormats(t *testing.T) {
-	events, snap := traceSW(t)
-	txt := report.Render(events, snap, report.Options{Markdown: false})
+	txt := report.Render(traceSW(t), report.Options{Markdown: false})
 	for _, section := range []string{
 		"Overview", "Stage waterfall", "Slowest fresh HLS estimations",
 		"Prune attribution", "Worker utilization", "Blaze offload vs fallback",
@@ -120,15 +110,12 @@ func TestReportRendersBothFormats(t *testing.T) {
 
 // TestReportCompileCache attaches a compile cache to the framework,
 // compiles the same source twice (miss then hit), and checks the report
-// grows a "Compile cache" section with the counters — and that the same
-// section appears when the counters arrive only via the metrics
-// snapshot (a headless run that kept the registry but not the trace).
+// grows a "Compile cache" section with the counters.
 func TestReportCompileCache(t *testing.T) {
 	var ns int64
 	clock := func() int64 { ns += 1000; return ns }
-	reg := obs.NewRegistry()
 	var jsonl bytes.Buffer
-	tr := obs.New(obs.NewJSONL(&jsonl), obs.WithClock(clock), obs.WithRegistry(reg))
+	tr := obs.New(obs.NewJSONL(&jsonl), obs.WithClock(clock))
 
 	a := apps.Get("S-W")
 	fw := core.New()
@@ -146,34 +133,63 @@ func TestReportCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := report.Render(events, nil, report.Options{Markdown: true})
+	got := report.Render(events, report.Options{Markdown: true})
 	for _, want := range []string{"## Compile cache", "ccache.hits", "Hit rate: 50.0% over 2 compilations."} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report with cached compiles missing %q", want)
 		}
 	}
+}
 
-	// Fallback path: counters only in the snapshot, no trace events.
-	var mj bytes.Buffer
-	if err := reg.WriteJSON(&mj); err != nil {
+// TestReportRuntimeSection emits one Go runtime sample into a JSONL
+// trace through obs.SampleRuntime and checks the report renders the
+// "Go runtime (final sample)" section from the trace alone, with the
+// go.* gauges kept out of the counter table. A nil trace makes the
+// sampler a no-op.
+func TestReportRuntimeSection(t *testing.T) {
+	var jsonl bytes.Buffer
+	tr := obs.New(obs.NewJSONL(&jsonl))
+	tr.Count("dse.evals", 3)
+	obs.SampleRuntime(tr)
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := obs.ReadMetricsJSON(&mj)
+	events, err := obs.ReadJSONL(bytes.NewReader(jsonl.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	headless := report.Render(nil, snap, report.Options{Markdown: true})
-	if !strings.Contains(headless, "## Compile cache") {
-		t.Error("metrics-only report missing the compile cache section")
+	got := report.Render(events, report.Options{Markdown: true})
+	section := strings.Index(got, "## Go runtime (final sample)")
+	if section < 0 {
+		t.Fatalf("report missing the Go runtime section:\n%s", got)
 	}
+	for _, g := range []string{"go.goroutines", "go.heap_objects_bytes", "go.total_bytes",
+		"go.allocs_bytes_total", "go.gc_cycles_total", "go.gc_pause_p50_seconds", "go.gc_pause_p99_seconds"} {
+		row := "| " + g + " "
+		if strings.Count(got, row) != 1 || strings.Index(got, row) < section {
+			t.Errorf("gauge %s not listed once, in the Go runtime section:\n%s", g, got)
+		}
+	}
+	if !strings.Contains(got, "| dse.evals | 3 ") {
+		t.Errorf("counter table lost dse.evals:\n%s", got)
+	}
+
+	var nilTr *obs.Trace
+	obs.SampleRuntime(nilTr)
+	before := runtime.NumGoroutine()
+	stop := obs.StartRuntimeSampler(nilTr, time.Millisecond)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("nil-trace sampler started a goroutine (%d -> %d)", before, n)
+	}
+	stop()
 }
 
 // TestReportDeterministic renders the same run twice and demands byte
 // equality — the report must not depend on map iteration order.
 func TestReportDeterministic(t *testing.T) {
-	events, snap := traceSW(t)
-	a := report.Render(events, snap, report.Options{Markdown: true})
-	b := report.Render(events, snap, report.Options{Markdown: true})
+	events := traceSW(t)
+	a := report.Render(events, report.Options{Markdown: true})
+	b := report.Render(events, report.Options{Markdown: true})
 	if a != b {
 		t.Error("report is not deterministic across renders of the same run")
 	}

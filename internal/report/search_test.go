@@ -19,7 +19,7 @@ func searchSection(t *testing.T, emit func(tr *obs.Trace)) string {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := report.Render(mem.Events(), nil, report.Options{Markdown: true})
+	out := report.Render(mem.Events(), report.Options{Markdown: true})
 	i := strings.Index(out, "\n## Search\n")
 	if i < 0 {
 		return ""

@@ -159,23 +159,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	}
 }
 
-// Filter keeps elements satisfying pred.
-func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	return &RDD[T]{
-		ctx:     r.ctx,
-		numPart: r.numPart,
-		compute: func(p int) []T {
-			var out []T
-			for _, v := range r.Partition(p) {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-			return out
-		},
-	}
-}
-
 // Reduce folds the dataset with an associative combiner. The dataset must
 // be non-empty.
 func Reduce[T any](r *RDD[T], f func(T, T) T) T {
@@ -193,30 +176,4 @@ func Reduce[T any](r *RDD[T], f func(T, T) T) T {
 		}
 	}
 	return acc
-}
-
-// Zip pairs two equally partitioned RDDs element-wise.
-func Zip[T, U any](a *RDD[T], b *RDD[U]) *RDD[Pair[T, U]] {
-	return &RDD[Pair[T, U]]{
-		ctx:     a.ctx,
-		numPart: a.numPart,
-		compute: func(p int) []Pair[T, U] {
-			av, bv := a.Partition(p), b.Partition(p)
-			n := len(av)
-			if len(bv) < n {
-				n = len(bv)
-			}
-			out := make([]Pair[T, U], n)
-			for i := 0; i < n; i++ {
-				out[i] = Pair[T, U]{First: av[i], Second: bv[i]}
-			}
-			return out
-		},
-	}
-}
-
-// Pair is a two-element tuple.
-type Pair[T, U any] struct {
-	First  T
-	Second U
 }

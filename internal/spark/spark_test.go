@@ -37,17 +37,14 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMapFilterReduce(t *testing.T) {
+func TestMapReduce(t *testing.T) {
 	ctx := NewContext()
 	rdd := Parallelize(ctx, nums(100), 7)
 	squares := Map(rdd, func(x int) int { return x * x })
-	evens := Filter(squares, func(x int) bool { return x%2 == 0 })
-	sum := Reduce(evens, func(a, b int) int { return a + b })
+	sum := Reduce(squares, func(a, b int) int { return a + b })
 	want := 0
 	for i := 0; i < 100; i++ {
-		if (i*i)%2 == 0 {
-			want += i * i
-		}
+		want += i * i
 	}
 	if sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
@@ -105,21 +102,6 @@ func TestUncachedRecomputes(t *testing.T) {
 	mapped.Collect()
 	if got := atomic.LoadInt64(&evals); got != 20 {
 		t.Errorf("lazy RDD evaluated %d times, want 20", got)
-	}
-}
-
-func TestZip(t *testing.T) {
-	ctx := NewContext()
-	a := Parallelize(ctx, nums(10), 3)
-	b := Map(a, func(x int) int { return x * 10 })
-	pairs := Zip(a, b).Collect()
-	if len(pairs) != 10 {
-		t.Fatalf("zip length = %d", len(pairs))
-	}
-	for _, p := range pairs {
-		if p.Second != p.First*10 {
-			t.Errorf("pair %+v mismatched", p)
-		}
 	}
 }
 
