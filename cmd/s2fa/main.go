@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,73 +41,97 @@ import (
 	"s2fa/internal/report"
 )
 
-func main() {
-	var (
-		srcPath     = flag.String("src", "", "path to a kernel class source file")
-		appName     = flag.String("app", "", "built-in workload name ("+strings.Join(apps.Names(), ", ")+")")
-		dseMode     = flag.String("dse", "s2fa", "exploration mode: s2fa | vanilla | trivial")
-		par         = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
-		tasks       = flag.Int("tasks", 0, "batch size the design is optimized for (0 = the app's own batch, 4096 for -src)")
-		seed        = flag.Int64("seed", 1, "random seed (reproducible runs)")
-		lintOnly    = flag.Bool("lint", false, "run the static verifier on the generated kernel, print findings, and exit (status 1 on errors)")
-		explain     = flag.Bool("explain", false, "print the abstract interpreter's fact report (§3.3 violations with kdsl positions, purity, value ranges) and exit (status 1 on violations)")
-		dumpBC      = flag.Bool("dump-bytecode", false, "print the compiled bytecode")
-		dumpC       = flag.Bool("dump-c", false, "print the generated HLS C before DSE")
-		dumpBest    = flag.Bool("dump-best", false, "print the chosen design's annotated HLS C")
-		tracePath   = flag.String("trace", "", "write pipeline + DSE trace events to this file")
-		traceFormat = flag.String("trace-format", "jsonl", "trace file format: jsonl | chrome (load the latter in chrome://tracing or Perfetto)")
-		summary     = flag.Bool("summary", false, "print the s2fa-report run explanation (stage waterfall, slowest HLS estimations, prune attribution, bandit arms, entropy sparkline, counters) as plain text after the run")
+func main() { os.Exit(run(os.Args[1:])) }
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		runtimeMet = flag.Bool("runtime-metrics", false, "sample Go runtime metrics (GC pause, heap, allocs) as go.* gauges into the run's trace (-trace / -summary) while the run executes")
-	)
-	flag.Parse()
+// options are the parsed command-line flags.
+type options struct {
+	srcPath, appName, dseMode string
+	par, tasks                int
+	seed                      int64
+	lintOnly, explain         bool
+	dumpBC, dumpC, dumpBest   bool
+	tracePath, traceFormat    string
+	summary                   bool
+	cpuProfile, memProfile    string
+	runtimeMet                bool
+}
 
-	if (*srcPath == "") == (*appName == "") {
+// run is the whole command; it returns the exit status (0 ok, 1 lint
+// errors, §3.3 violations or a failed stage, 2 flag misuse). Every exit
+// from the pipeline, -explain and -lint included, goes through the same
+// teardown, so -trace, -summary and the profiles are written whatever
+// the status.
+func run(args []string) int {
+	var o options
+	fs := flag.NewFlagSet("s2fa", flag.ContinueOnError)
+	fs.StringVar(&o.srcPath, "src", "", "path to a kernel class source file")
+	fs.StringVar(&o.appName, "app", "", "built-in workload name ("+strings.Join(apps.Names(), ", ")+")")
+	fs.StringVar(&o.dseMode, "dse", "s2fa", "exploration mode: s2fa | vanilla | trivial")
+	fs.IntVar(&o.par, "par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
+	fs.IntVar(&o.tasks, "tasks", 0, "batch size the design is optimized for (0 = the app's own batch, 4096 for -src)")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed (reproducible runs)")
+	fs.BoolVar(&o.lintOnly, "lint", false, "run the static verifier on the generated kernel, print findings, and exit (status 1 on errors)")
+	fs.BoolVar(&o.explain, "explain", false, "print the abstract interpreter's fact report (§3.3 violations with kdsl positions, purity, value ranges) and exit (status 1 on violations)")
+	fs.BoolVar(&o.dumpBC, "dump-bytecode", false, "print the compiled bytecode")
+	fs.BoolVar(&o.dumpC, "dump-c", false, "print the generated HLS C before DSE")
+	fs.BoolVar(&o.dumpBest, "dump-best", false, "print the chosen design's annotated HLS C")
+	fs.StringVar(&o.tracePath, "trace", "", "write pipeline + DSE trace events to this file")
+	fs.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace file format: jsonl | chrome (load the latter in chrome://tracing or Perfetto)")
+	fs.BoolVar(&o.summary, "summary", false, "print the s2fa-report run explanation (stage waterfall, slowest HLS estimations, prune attribution, bandit arms, entropy sparkline, counters) as plain text after the run")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.BoolVar(&o.runtimeMet, "runtime-metrics", false, "sample Go runtime metrics (GC pause, heap, allocs) as go.* gauges into the run's trace (-trace / -summary) while the run executes")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if (o.srcPath == "") == (o.appName == "") {
 		fmt.Fprintln(os.Stderr, "specify exactly one of -src or -app")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	var src string
-	app := apps.Get(*appName)
+	app := apps.Get(o.appName)
 	switch {
-	case *srcPath != "":
-		data, err := os.ReadFile(*srcPath)
+	case o.srcPath != "":
+		data, err := os.ReadFile(o.srcPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		src = string(data)
 	case app == nil:
-		fmt.Fprintln(os.Stderr, "s2fa: "+unknownAppMessage(*appName))
-		os.Exit(2)
+		fmt.Fprintln(os.Stderr, "s2fa: "+unknownAppMessage(o.appName))
+		return 2
 	default:
 		src = app.Source
 	}
-	*tasks = batchSize(*tasks, app)
+	o.tasks = batchSize(o.tasks, app)
 
 	// Observability: a trace file and/or an in-memory sink whose events
 	// -summary renders. A nil trace is free; a live one never changes the
 	// run (see internal/obs).
 	var sinks []obs.Sink
 	var mem *obs.MemorySink
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
-		switch *traceFormat {
+		switch o.traceFormat {
 		case "jsonl":
 			sinks = append(sinks, obs.NewJSONL(f))
 		case "chrome":
 			sinks = append(sinks, obs.NewChrome(f))
 		default:
-			fatal(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", *traceFormat))
+			return fail(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", o.traceFormat))
 		}
 	}
-	if *summary {
+	if o.summary {
 		mem = obs.NewMemory()
 		sinks = append(sinks, mem)
 	}
@@ -117,84 +142,93 @@ func main() {
 
 	// Profiling hooks. The profiles and samplers observe the run; they
 	// never feed anything back into it.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
 	}
 	stopSampler := func() {}
-	if *runtimeMet {
+	if o.runtimeMet {
 		stopSampler = obs.StartRuntimeSampler(tr, 0)
-		defer stopSampler()
 	}
 
+	code := pipeline(o, src, app, tr)
+
+	// The sampler's final sample must land before the sinks close.
+	stopSampler()
+	if err := tr.Close(); err != nil {
+		code = fail(fmt.Errorf("writing trace: %w", err))
+	}
+	if mem != nil {
+		fmt.Println("--- run summary ---")
+		fmt.Print(report.Render(mem.Events(), report.Options{}))
+	}
+	if o.cpuProfile != "" {
+		pprof.StopCPUProfile()
+	}
+	if o.memProfile != "" {
+		if err := writeHeapProfile(o.memProfile); err != nil {
+			code = fail(err)
+		}
+	}
+	return code
+}
+
+// pipeline compiles the kernel and runs what the flags select: the
+// -explain report, the -lint findings, or the full DSE build. It prints
+// as it goes and returns the exit status.
+func pipeline(o options, src string, app *apps.App, tr *obs.Trace) int {
 	fw := core.New()
-	fw.Seed = *seed
-	fw.Tasks = *tasks
+	fw.Seed = o.seed
+	fw.Tasks = o.tasks
 	fw.Trace = tr
 	var cfg dse.Config
-	switch *dseMode {
+	switch o.dseMode {
 	case "s2fa":
-		cfg = dse.S2FAConfig(*seed)
+		cfg = dse.S2FAConfig(o.seed)
 	case "vanilla":
-		cfg = dse.VanillaConfig(*seed)
+		cfg = dse.VanillaConfig(o.seed)
 	case "trivial":
-		cfg = dse.TrivialStopConfig(*seed)
+		cfg = dse.TrivialStopConfig(o.seed)
 	default:
-		fatal(fmt.Errorf("unknown -dse mode %q", *dseMode))
+		return fail(fmt.Errorf("unknown -dse mode %q", o.dseMode))
 	}
-	if *par > 0 {
+	if o.par > 0 {
 		cfg.Engine = dse.EngineParallel
-		cfg.Parallelism = *par
+		cfg.Parallelism = o.par
 	}
 	fw.DSE = &cfg
 
 	// The file label prefixed to §3.3 diagnostics (file:line:col).
-	fileLabel := *srcPath
+	fileLabel := o.srcPath
 	if fileLabel == "" {
-		fileLabel = *appName + ".kdsl"
+		fileLabel = o.appName + ".kdsl"
 	}
 
 	kspan := tr.Begin("kdsl", "compile", obs.Int("src_bytes", len(src)))
 	cls, err := kdsl.CompileSource(src)
 	kspan.End(obs.Bool("ok", err == nil))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("compiled class %s (accelerator id %q, pattern %s)\n", cls.Name, cls.ID, cls.Pattern())
-	if *dumpBC {
+	if o.dumpBC {
 		fmt.Println(bytecode.DisassembleClass(cls))
 	}
 
-	if *explain {
+	if o.explain {
 		facts, err := absint.DiagnoseClass(cls)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Print(absint.Explain(facts, fileLabel))
 		if len(facts.Violations()) > 0 {
-			os.Exit(1)
+			return 1
 		}
 		// Kernels the C generator rejects get no analysis sections: the
 		// §3.3 report above already covers them.
@@ -203,22 +237,22 @@ func main() {
 			fmt.Print(dependReport(an.Depend(), fileLabel))
 			fmt.Print(accessReport(an.Access(), fileLabel))
 		}
-		return
+		return 0
 	}
-	if *lintOnly {
+	if o.lintOnly {
 		// §3.3 legality first: a violating kernel never reaches the C
 		// generator, so its diagnostics come from the bytecode analyzer
 		// with kdsl positions attached.
 		facts, err := absint.DiagnoseClass(cls)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if vs := facts.Violations(); len(vs) > 0 {
 			fmt.Printf("lint: %s: %d §3.3 violation(s)\n", cls.Name, len(vs))
 			for _, v := range vs {
 				fmt.Println(v.Sourced(fileLabel))
 			}
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -230,64 +264,56 @@ func main() {
 				fmt.Fprintln(os.Stderr, "s2fa: "+v.Sourced(fileLabel))
 			}
 		}
-		fatal(err)
+		return fail(err)
 	}
-	if *dumpC {
+	if o.dumpC {
 		fmt.Println("--- generated HLS C (pre-DSE) ---")
 		fmt.Println(cir.Print(kernel))
 	}
-	if *lintOnly {
+	if o.lintOnly {
 		fs := lint.Lint(kernel)
 		if len(fs) == 0 {
 			fmt.Printf("lint: %s: no findings\n", kernel.Name)
-			return
+			return 0
 		}
 		fmt.Printf("lint: %s: %d error(s), %d warning(s)\n", kernel.Name, len(fs.Errors()), len(fs.Warnings()))
 		fmt.Println(fs.String())
 		if fs.HasErrors() {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	build, err := fw.BuildFromClass(cls, kernel)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("design space: %d parameters, %.3g points\n", len(build.Space.Params), build.Space.Cardinality())
 	fmt.Printf("DSE (%s): %d evaluations over %.0f virtual minutes, %d partitions, stopped: %s\n",
-		*dseMode, build.Outcome.Evaluations, build.Outcome.TotalMinutes,
+		o.dseMode, build.Outcome.Evaluations, build.Outcome.TotalMinutes,
 		len(build.Outcome.Partitions), build.Outcome.StopReason)
 	for i, p := range build.Outcome.Partitions {
 		fmt.Printf("  partition %d: %s\n", i, p.String())
 	}
 	fmt.Printf("best design: %v\n", build.Best)
-	fmt.Printf("estimated kernel time for %d tasks: %.6fs\n", *tasks, build.Best.Seconds())
+	fmt.Printf("estimated kernel time for %d tasks: %.6fs\n", o.tasks, build.Best.Seconds())
 	// For built-in workloads, report the Fig. 4 comparison point: the
 	// modeled single-thread JVM executor time and the resulting speedup.
 	if app != nil {
-		jvmSec, err := exp.JVMSecondsForEngine(app, *tasks, true, tr)
+		jvmSec, err := exp.JVMSecondsForEngine(app, o.tasks, true, tr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Printf("JVM baseline (single-thread executor, jit): %.6fs\n", jvmSec)
 		if s := build.Best.Seconds(); s > 0 {
 			fmt.Printf("speedup over JVM: %.2fx\n", jvmSec/s)
 		}
 	}
-	if *dumpBest {
+	if o.dumpBest {
 		fmt.Println("--- chosen design (annotated HLS C) ---")
 		fmt.Println(build.BestHLSSource())
 	}
-	// The sampler's final sample must land before the sinks close.
-	stopSampler()
-	if err := tr.Close(); err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-	if mem != nil {
-		fmt.Println("--- run summary ---")
-		fmt.Print(report.Render(mem.Events(), report.Options{}))
-	}
+	return 0
 }
 
 // batchSize resolves -tasks: an explicit batch wins; 0 means the
@@ -352,7 +378,19 @@ func unknownAppMessage(name string) string {
 		name, strings.Join(apps.Names(), ", "))
 }
 
-func fatal(err error) {
+// fail reports err and returns exit status 1.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "s2fa:", err)
-	os.Exit(1)
+	return 1
+}
+
+// writeHeapProfile writes a heap profile, taken after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }

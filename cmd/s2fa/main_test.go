@@ -1,11 +1,14 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"s2fa/internal/apps"
 	"s2fa/internal/hls"
+	"s2fa/internal/obs"
 )
 
 // TestUnknownAppMessage pins the -app rejection text: every valid
@@ -96,3 +99,58 @@ func swAnalysis(t *testing.T) *hls.Analysis {
 	}
 	return hls.Analyze(k)
 }
+
+// TestEarlyExitsWriteTrace runs the paths that stop before the DSE —
+// -explain and -lint, including -lint on a kernel with §3.3 violations,
+// which exits 1 — with a JSONL trace: each must still flush its trace,
+// so the file holds at least the kdsl/compile span.
+func TestEarlyExitsWriteTrace(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.scala")
+	if err := os.WriteFile(bad, []byte(dynAllocSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"explain", []string{"-app", "S-W", "-explain"}, 0},
+		{"lint", []string{"-app", "S-W", "-lint"}, 0},
+		{"lint violations", []string{"-src", bad, "-lint"}, 1},
+		{"explain violations", []string{"-src", bad, "-explain"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".jsonl")
+			if code := run(append(tc.args, "-trace", path)); code != tc.code {
+				t.Fatalf("exit status %d, want %d", code, tc.code)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			events, err := obs.ReadJSONL(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range events {
+				if e.Cat == "kdsl" && e.Name == "compile" {
+					return
+				}
+			}
+			t.Fatalf("trace holds %d events, no kdsl/compile span", len(events))
+		})
+	}
+}
+
+// dynAllocSrc sizes a local array by its input, a §3.3 violation
+// (dynamic allocation) that -lint and -explain report and exit 1 on.
+const dynAllocSrc = `class Dyn extends Accelerator[Int, Int] {
+  val id: String = "dyn"
+  def call(in: Int): Int = {
+    val a: Array[Int] = new Array[Int](in)
+    a(0) = in
+    a(0)
+  }
+}`

@@ -170,15 +170,6 @@ type FixpointStats struct {
 	ArrayWidenings int // array-element widenings (all passes)
 }
 
-// LocalRange returns the proven range of a local slot (Top when the slot
-// index is unknown).
-func (f *MethodFacts) LocalRange(slot int) Interval {
-	if f == nil || slot < 0 || slot >= len(f.Local) {
-		return Top()
-	}
-	return f.Local[slot]
-}
-
 // Array returns the facts for the object with the given origin, or nil.
 func (f *MethodFacts) Array(origin string) *ArrayFacts {
 	for i := range f.Arrays {
@@ -316,21 +307,6 @@ func (ws *workspace) analyzeClass(c *bytecode.Class) (*ClassFacts, error) {
 		}
 	}
 	return cf, nil
-}
-
-// AnalyzeMethod analyzes a single verified method with unconstrained
-// inputs of the declared parameter types.
-func AnalyzeMethod(m *bytecode.Method) (*MethodFacts, error) {
-	if err := bytecode.Verify(m); err != nil {
-		return nil, err
-	}
-	in := make([]Abstract, len(m.Params))
-	for i, p := range m.Params {
-		in[i] = inputAbstract(p, nil)
-	}
-	ws := workspaces.Get()
-	defer workspaces.Put(ws)
-	return ws.analyzeMethod(m, nil, in, true)
 }
 
 // inputAbstract builds the unconstrained abstraction of a parameter:

@@ -10,6 +10,39 @@ import (
 	"s2fa/internal/kdsl"
 )
 
+// AnalyzeMethod analyzes a single verified method with unconstrained
+// inputs of the declared parameter types.
+func AnalyzeMethod(m *bytecode.Method) (*MethodFacts, error) {
+	if err := bytecode.Verify(m); err != nil {
+		return nil, err
+	}
+	in := make([]Abstract, len(m.Params))
+	for i, p := range m.Params {
+		in[i] = inputAbstract(p, nil)
+	}
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
+	return ws.analyzeMethod(m, nil, in, true)
+}
+
+// LocalRange returns the proven range of a local slot (Top when the slot
+// index is unknown).
+func (f *MethodFacts) LocalRange(slot int) Interval {
+	if f == nil || slot < 0 || slot >= len(f.Local) {
+		return Top()
+	}
+	return f.Local[slot]
+}
+
+// ContainsValue reports whether the concrete scalar v lies in the
+// interval.
+func (iv Interval) ContainsValue(v cir.Value) bool {
+	if v.K.IsFloat() {
+		return iv.Contains(v.F)
+	}
+	return iv.Contains(float64(v.I))
+}
+
 func TestIntervalLattice(t *testing.T) {
 	a := Interval{1, 5}
 	b := Interval{3, 9}

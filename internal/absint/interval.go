@@ -55,15 +55,6 @@ func (iv Interval) Contains(x float64) bool {
 	return iv.Lo <= x && x <= iv.Hi
 }
 
-// ContainsValue reports whether the concrete scalar v lies in the
-// interval.
-func (iv Interval) ContainsValue(v cir.Value) bool {
-	if v.K.IsFloat() {
-		return iv.Contains(v.F)
-	}
-	return iv.Contains(float64(v.I))
-}
-
 // Join returns the smallest interval containing both operands.
 func (iv Interval) Join(o Interval) Interval {
 	if iv.IsBottom() {

@@ -6,6 +6,7 @@ import (
 
 	"s2fa/internal/absint"
 	"s2fa/internal/bytecode"
+	"s2fa/internal/cir"
 	"s2fa/internal/jvmsim"
 )
 
@@ -31,7 +32,7 @@ func (c *soundnessChecker) hook(m *bytecode.Method, pc int, stack []jvmsim.Val, 
 		if lv.IsArr || lv.IsTup {
 			continue
 		}
-		if iv := c.facts.LocalRange(i); !iv.ContainsValue(lv.S) {
+		if iv := localRange(c.facts, i); !containsValue(iv, lv.S) {
 			c.failed++
 			c.t.Errorf("%s %s@%d: local %d holds %s outside inferred %v", c.name, m.Name, pc, i, lv.S, iv)
 		}
@@ -49,7 +50,7 @@ func (c *soundnessChecker) hook(m *bytecode.Method, pc int, stack []jvmsim.Val, 
 			c.t.Errorf("%s %s@%d: store executed but no fact recorded", c.name, m.Name, pc)
 			return
 		}
-		if !iv.ContainsValue(v.S) {
+		if !containsValue(iv, v.S) {
 			c.failed++
 			c.t.Errorf("%s %s@%d: stores %s outside inferred %v", c.name, m.Name, pc, v.S, iv)
 		}
@@ -65,11 +66,28 @@ func (c *soundnessChecker) hook(m *bytecode.Method, pc int, stack []jvmsim.Val, 
 			c.t.Errorf("%s %s@%d: aload executed but no fact recorded", c.name, m.Name, pc)
 			return
 		}
-		if !iv.ContainsValue(arr.Arr[idx]) {
+		if !containsValue(iv, arr.Arr[idx]) {
 			c.failed++
 			c.t.Errorf("%s %s@%d: loads %s outside inferred %v", c.name, m.Name, pc, arr.Arr[idx], iv)
 		}
 	}
+}
+
+// localRange is the proven range of local slot in f (Top when the slot
+// index is unknown).
+func localRange(f *absint.MethodFacts, slot int) absint.Interval {
+	if f == nil || slot < 0 || slot >= len(f.Local) {
+		return absint.Top()
+	}
+	return f.Local[slot]
+}
+
+// containsValue reports whether the concrete scalar v lies in iv.
+func containsValue(iv absint.Interval, v cir.Value) bool {
+	if v.K.IsFloat() {
+		return iv.Contains(v.F)
+	}
+	return iv.Contains(float64(v.I))
 }
 
 // TestAbsintSoundnessAllWorkloads runs the JVM simulator over generated

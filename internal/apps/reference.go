@@ -49,6 +49,7 @@ func ExpandAESKey(key []byte) []byte {
 }
 
 // SWRef mirrors the Smith-Waterman kernel on one pair.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func SWRef(a, b []byte) (out1, out2 []byte) {
 	const m = 129
 	H := make([]int32, m*m)
@@ -106,6 +107,7 @@ func SWRef(a, b []byte) (out1, out2 []byte) {
 }
 
 // KMeansRef mirrors the KMeans assignment kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func KMeansRef(point []float64) int {
 	best := 0
 	bestDist := 1.0e30
@@ -124,6 +126,7 @@ func KMeansRef(point []float64) int {
 }
 
 // KNNRef mirrors the 3-NN vote kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func KNNRef(q []float64) int {
 	d1, d2, d3 := 1.0e30, 1.0e30, 1.0e30
 	var l1, l2, l3 int
@@ -153,6 +156,7 @@ func KNNRef(q []float64) int {
 }
 
 // LRRef mirrors the logistic-regression gradient kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func LRRef(x []float64, y float64) []float64 {
 	dot := 0.0
 	for j := 0; j < RegD; j++ {
@@ -168,6 +172,7 @@ func LRRef(x []float64, y float64) []float64 {
 }
 
 // SVMRef mirrors the hinge-gradient kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func SVMRef(x []float64, y float64) []float64 {
 	dot := 0.0
 	for j := 0; j < RegD; j++ {
@@ -188,6 +193,7 @@ func SVMRef(x []float64, y float64) []float64 {
 }
 
 // LLSRef mirrors the least-squares gradient kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func LLSRef(x []float64, y float64) []float64 {
 	dot := 0.0
 	for j := 0; j < RegD; j++ {
@@ -202,6 +208,7 @@ func LLSRef(x []float64, y float64) []float64 {
 }
 
 // PRRef mirrors the PageRank update kernel.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func PRRef(ranks []float64, degs []int32) float64 {
 	s := 0.0
 	for e := 0; e < PRDeg; e++ {
@@ -214,6 +221,7 @@ func PRRef(ranks []float64, degs []int32) float64 {
 
 // AESRef mirrors the table-based AES-128 ECB block encryption (validated
 // against crypto/aes in the test suite).
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func AESRef(block []byte) []byte {
 	rk := ExpandAESKey(AESKey)
 	shift := [16]int{0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11}

@@ -5,6 +5,7 @@ package apps
 // order), like reference.go does for the Table 2 eight.
 
 // ConvRef mirrors the Conv kernel on one image.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func ConvRef(img []float64) []float64 {
 	out := make([]float64, ConvOut*ConvOut)
 	for r := 0; r < ConvOut; r++ {
@@ -22,6 +23,7 @@ func ConvRef(img []float64) []float64 {
 }
 
 // HistRef mirrors the Hist kernel on one sample batch.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func HistRef(xs []int32) []int32 {
 	bins := make([]int32, HistB)
 	for _, x := range xs {
@@ -32,6 +34,7 @@ func HistRef(xs []int32) []int32 {
 }
 
 // TopKRef mirrors the TopK kernel on one value batch.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func TopKRef(xs []float64) []float64 {
 	best := make([]float64, TKK)
 	for j := range best {
@@ -49,6 +52,7 @@ func TopKRef(xs []float64) []float64 {
 }
 
 // StrSearchRef mirrors the StrSearch kernel on one text.
+// api:allow Go oracle: the workload tests hold the kernel to it on every input
 func StrSearchRef(text []byte) int {
 	count := 0
 	for i := 0; i < SSN-SSM+1; i++ {

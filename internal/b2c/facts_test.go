@@ -9,7 +9,7 @@ import (
 
 // rangeSrc computes small values into an Int output buffer, so the
 // abstract interpreter can prove a range far narrower than the element
-// kind and ValueBits can shrink the storage width.
+// kind and valueBits can shrink the storage width.
 const rangeSrc = `
 class Scale extends Accelerator[Array[Int], Array[Int]] {
   val id: String = "scale"
@@ -37,8 +37,8 @@ func TestParamValueRangesSeeded(t *testing.T) {
 	if !in.ValKnown || in.ValLo != -2147483648 || in.ValHi != 2147483647 {
 		t.Errorf("in range = [%v,%v] known=%v, want full Int range", in.ValLo, in.ValHi, in.ValKnown)
 	}
-	if bits := in.ValueBits(); bits != 32 {
-		t.Errorf("in ValueBits = %d, want 32", bits)
+	if bits := valueBits(*in); bits != 32 {
+		t.Errorf("in valueBits = %d, want 32", bits)
 	}
 	out := k.Param("out")
 	if out == nil {
@@ -48,8 +48,8 @@ func TestParamValueRangesSeeded(t *testing.T) {
 	if !out.ValKnown || out.ValLo != 0 || out.ValHi != 21 {
 		t.Errorf("out range = [%v,%v] known=%v, want [0,21]", out.ValLo, out.ValHi, out.ValKnown)
 	}
-	if bits := out.ValueBits(); bits != 8 {
-		t.Errorf("out ValueBits = %d, want 8 (proven [0,21] in an Int buffer)", bits)
+	if bits := valueBits(*out); bits != 8 {
+		t.Errorf("out valueBits = %d, want 8 (proven [0,21] in an Int buffer)", bits)
 	}
 }
 
@@ -89,6 +89,26 @@ func TestFactArrayLenAndStoredConstFold(t *testing.T) {
 	}
 }
 
+// valueBits is the narrowest standard storage width (8/16/32/64 bits)
+// that provably holds every value p carries. Without a proven range —
+// or for float elements, whose mantissa precision a value range says
+// nothing about — it is the element's natural width.
+func valueBits(p cir.Param) int {
+	if !p.ValKnown || p.Elem.IsFloat() {
+		return p.Elem.Bits()
+	}
+	for _, b := range []int{8, 16, 32} {
+		if b >= p.Elem.Bits() {
+			break
+		}
+		half := float64(int64(1) << (b - 1))
+		if p.ValLo >= -half && p.ValHi <= half-1 {
+			return b
+		}
+	}
+	return p.Elem.Bits()
+}
+
 func TestValueBitsWidths(t *testing.T) {
 	cases := []struct {
 		p    cir.Param
@@ -103,8 +123,8 @@ func TestValueBitsWidths(t *testing.T) {
 		{cir.Param{Elem: cir.Char, ValKnown: true, ValLo: 0, ValHi: 3}, 8},
 	}
 	for i, c := range cases {
-		if got := c.p.ValueBits(); got != c.want {
-			t.Errorf("case %d: ValueBits = %d, want %d", i, got, c.want)
+		if got := valueBits(c.p); got != c.want {
+			t.Errorf("case %d: valueBits = %d, want %d", i, got, c.want)
 		}
 	}
 }

@@ -331,7 +331,12 @@ class G extends Accelerator[Int, Int] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := k.Global("tab")
+	var g *cir.Global
+	for i := range k.Globals {
+		if k.Globals[i].Name == "tab" {
+			g = &k.Globals[i]
+		}
+	}
 	if g == nil || len(g.Data) != 4 || g.Data[2].I != 30 {
 		t.Fatalf("global = %+v", g)
 	}

@@ -5,11 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"s2fa/internal/absint"
 	"s2fa/internal/bytecode"
 	"s2fa/internal/cir"
 	"s2fa/internal/fpga"
-	"s2fa/internal/hls"
 	"s2fa/internal/jvmsim"
 	"s2fa/internal/kdsl"
 	"s2fa/internal/spark"
@@ -96,60 +94,4 @@ func scrubTasks(rng *rand.Rand, n int) []jvmsim.Val {
 		tasks[i] = jvmsim.Array(arr)
 	}
 	return tasks
-}
-
-// TestSeedPurityMatchesAnalysis checks that a Manager seeded through
-// SeedPurity with absint.AnalyzeClass facts routes a job exactly like
-// one that analyzes the class itself: the same Stats.Fallback, byte
-// for byte, for an impure kernel and a pure app.
-func TestSeedPurityMatchesAnalysis(t *testing.T) {
-	impure, err := kdsl.CompileSource(impureSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km, a := layoutFor(t, "KMeans")
-	dev := fpga.VU9P()
-	cases := []struct {
-		name    string
-		acc     *Accelerator
-		tasks   []jvmsim.Val
-		offload bool
-	}{
-		{"impure", scrubAccel(impure), scrubTasks(rand.New(rand.NewSource(3)), 4), false},
-		{"KMeans", &Accelerator{ID: km.Class.ID, Layout: km,
-			Design: hls.Estimate(km.Kernel, dev, 64, hls.Options{}).Design("KMeans")},
-			a.Gen(rand.New(rand.NewSource(3)), 8), true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cls := tc.acc.Layout.Class
-			run := func(seed bool) Stats {
-				mgr := NewManager(dev)
-				if err := mgr.Register(tc.acc); err != nil {
-					t.Fatal(err)
-				}
-				if seed {
-					facts, err := absint.AnalyzeClass(cls)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mgr.SeedPurity(cls, facts)
-				}
-				rdd := spark.Parallelize(spark.NewContext(), tc.tasks, 2)
-				_, st, err := Wrap(rdd, mgr).MapAcc(jvmsim.New(cls))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
-			analyzed, seeded := run(false), run(true)
-			if seeded.Fallback != analyzed.Fallback || seeded.UsedFPGA != analyzed.UsedFPGA {
-				t.Fatalf("seeded (%t, %q) != analyzed (%t, %q)",
-					seeded.UsedFPGA, seeded.Fallback, analyzed.UsedFPGA, analyzed.Fallback)
-			}
-			if analyzed.UsedFPGA != tc.offload || (analyzed.Fallback == "") != tc.offload {
-				t.Fatalf("UsedFPGA %t, Fallback %q; want offload %t", analyzed.UsedFPGA, analyzed.Fallback, tc.offload)
-			}
-		})
-	}
 }

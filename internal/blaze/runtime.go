@@ -95,44 +95,30 @@ func NewManager(dev *fpga.Device) *Manager {
 // argument array, a class static) would silently diverge from the JVM
 // semantics on the accelerator — such kernels must stay on the JVM. The
 // verdict comes from the abstract interpreter's per-method side-effect
-// summary and is cached per class.
+// summary and is cached per class. The analysis runs outside m.mu, so a
+// class's first offload does not block Lookup for every accelerator;
+// verdicts are deterministic, so when two first offloads race, both
+// compute the same verdict and the first one stored wins.
 func (m *Manager) purityGate(cls *bytecode.Class) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d, ok := m.purity[cls]; ok {
+	m.mu.RLock()
+	d, ok := m.purity[cls]
+	m.mu.RUnlock()
+	if ok {
 		return d
 	}
-	var d string
 	if facts, err := absint.AnalyzeClass(cls); err != nil {
 		d = "purity analysis failed: " + err.Error()
-	} else {
-		d = purityVerdict(facts)
+	} else if !facts.Pure() {
+		d = fmt.Sprintf("kernel is impure, offload would drop the side effect at %s",
+			facts.Impurities()[0])
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.purity[cls]; ok {
+		return prev
 	}
 	m.purity[cls] = d
 	return d
-}
-
-// purityVerdict is the purity gate's verdict on a class with the given
-// facts: "" when it is side-effect free, else the first side effect.
-func purityVerdict(facts *absint.ClassFacts) string {
-	if facts.Pure() {
-		return ""
-	}
-	return fmt.Sprintf("kernel is impure, offload would drop the side effect at %s",
-		facts.Impurities()[0])
-}
-
-// SeedPurity pre-seeds the purity-verdict cache for cls from facts the
-// caller already computed (the compile cache carries them), so the first
-// offload of the class skips re-running the abstract interpreter. The
-// seeded verdict is exactly what purityGate would derive; an existing
-// verdict is never overwritten.
-func (m *Manager) SeedPurity(cls *bytecode.Class, facts *absint.ClassFacts) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.purity[cls]; !ok {
-		m.purity[cls] = purityVerdict(facts)
-	}
 }
 
 // Device returns the managed FPGA.

@@ -21,15 +21,12 @@ import (
 //
 // Verify also enforces the §3.3 legality rules that are decidable
 // per-instruction (constant newarray sizes, the intrinsic whitelist).
-// VerifyStructural checks everything except those two, so diagnostic
-// passes can analyze an illegal-but-well-formed kernel and report the
-// violations with source positions instead of stopping at the first.
+// VerifyClassStructural checks everything except those two, so
+// diagnostic passes can analyze an illegal-but-well-formed kernel and
+// report the violations with source positions instead of stopping at
+// the first.
+// api:allow per-method verifier for the absint and b2c tests, whose hand-built methods no class wraps
 func Verify(m *Method) error { return verify(m, true) }
-
-// VerifyStructural verifies branch targets, slot usage, and stack
-// discipline only, deferring §3.3 legality to the abstract interpreter's
-// sourced diagnostics.
-func VerifyStructural(m *Method) error { return verify(m, false) }
 
 func verify(m *Method, legality bool) error {
 	v := verifiers.Get()
@@ -246,7 +243,9 @@ func (v *verifier) verify(m *Method, legality bool) error {
 func VerifyClass(c *Class) error { return verifyClass(c, true) }
 
 // VerifyClassStructural is VerifyClass with the per-method §3.3 legality
-// rules deferred (see VerifyStructural).
+// rules deferred: branch targets, slot usage, and stack discipline are
+// verified, and §3.3 legality is left to the abstract interpreter's
+// sourced diagnostics.
 func VerifyClassStructural(c *Class) error { return verifyClass(c, false) }
 
 func verifyClass(c *Class, legality bool) error {

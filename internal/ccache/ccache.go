@@ -2,8 +2,8 @@
 // pipeline. The unit of caching is one verified kernel class: the
 // fingerprint is the SHA-256 of the canonical bytecode encoding plus the
 // abstract-interpretation fact digest (see FingerprintOf), and a hit
-// returns the cached verified CIR kernel and the facts it was compiled
-// under — the back half of the pipeline (b2c decompilation,
+// returns the cached verified CIR kernel — the back half of the
+// pipeline (b2c decompilation,
 // structuring, flattening and its lint gate) is skipped. The cache
 // holds no DSE analyses: the DSE analyzes the kernel it explores itself
 // (hls.Analyze).
@@ -42,16 +42,13 @@ import (
 )
 
 // Entry is one cached compilation: the verified kernel b2c derives from
-// a class, and the facts it was compiled under. Both are shared across
-// hits — callers must treat them as immutable (mutation is detected as
-// poisoning on the next hit, not tolerated).
+// a class. It is shared across hits — callers must treat it as
+// immutable (mutation is detected as poisoning on the next hit, not
+// tolerated).
 type Entry struct {
 	Fingerprint Fingerprint
 	// Kernel is the verified HLS-C IR produced by b2c.
 	Kernel *cir.Kernel
-	// Facts are the abstract-interpretation facts the kernel was
-	// compiled under (also an input to the fingerprint).
-	Facts *absint.ClassFacts
 
 	// checksum is SHA-256 of cir.Print(Kernel) at insertion time; bytes
 	// is the length of that rendering (the size proxy behind the
@@ -96,7 +93,6 @@ type Cache struct {
 	mu       sync.Mutex
 	source   map[[32]byte]sourceMemo
 	entries  map[Fingerprint]*Entry
-	byKernel map[*cir.Kernel]*Entry
 	inflight map[Fingerprint]*flight
 	stats    Stats
 }
@@ -106,7 +102,6 @@ func New() *Cache {
 	return &Cache{
 		source:   map[[32]byte]sourceMemo{},
 		entries:  map[Fingerprint]*Entry{},
-		byKernel: map[*cir.Kernel]*Entry{},
 		inflight: map[Fingerprint]*flight{},
 	}
 }
@@ -123,16 +118,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// EntryFor returns the live entry whose kernel is exactly k (pointer
-// identity), or nil. This is how downstream stages (blaze purity
-// seeding) recover the cached facts for a kernel that came out of
-// CompileSource.
-func (c *Cache) EntryFor(k *cir.Kernel) *Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKernel[k]
 }
 
 // CompileSource compiles kernel source through the cache. On a source
@@ -216,7 +201,6 @@ func (c *Cache) CompileClass(cls *bytecode.Class, tr *obs.Trace) (*Entry, error)
 		delete(c.inflight, fp)
 		if err == nil {
 			c.entries[fp] = e
-			c.byKernel[e.Kernel] = e
 			c.stats.Misses++
 			c.stats.Bytes += int64(e.bytes)
 		}
@@ -244,7 +228,6 @@ func compileMiss(cls *bytecode.Class, facts *absint.ClassFacts, fp Fingerprint, 
 	e := &Entry{
 		Fingerprint: fp,
 		Kernel:      k,
-		Facts:       facts,
 		checksum:    sha256.Sum256([]byte(printed)),
 		bytes:       len(printed),
 	}
@@ -263,7 +246,6 @@ func (c *Cache) verify(e *Entry, tr *obs.Trace) bool {
 	c.mu.Lock()
 	if c.entries[e.Fingerprint] == e {
 		delete(c.entries, e.Fingerprint)
-		delete(c.byKernel, e.Kernel)
 	}
 	c.stats.Poisoned++
 	c.mu.Unlock()

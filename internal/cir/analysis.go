@@ -1,10 +1,5 @@
 package cir
 
-import (
-	"fmt"
-	"strings"
-)
-
 // OpCount tallies the operations in a region of code, bucketed the way the
 // HLS resource/latency model consumes them.
 type OpCount struct {
@@ -120,28 +115,6 @@ func Analyze(k *Kernel) *KernelInfo {
 		finishLoop(r)
 	}
 	return info
-}
-
-// LoopShape returns a canonical signature of the loop hierarchy, e.g.
-// "1(2(3)(3))" for a triply nested kernel. The DSE partitioner groups
-// applications with geometrically similar hierarchies (paper §4.3.1).
-func (ki *KernelInfo) LoopShape() string {
-	var b strings.Builder
-	var walk func(li *LoopInfo)
-	walk = func(li *LoopInfo) {
-		fmt.Fprintf(&b, "%d", li.Depth+1)
-		if len(li.Children) > 0 {
-			for _, c := range li.Children {
-				b.WriteString("(")
-				walk(c)
-				b.WriteString(")")
-			}
-		}
-	}
-	for _, r := range ki.Roots {
-		walk(r)
-	}
-	return b.String()
 }
 
 // analyzeBlock walks a block attributing costs to the enclosing loop node

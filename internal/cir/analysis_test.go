@@ -1,6 +1,32 @@
 package cir
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// LoopShape returns a canonical signature of the loop hierarchy, e.g.
+// "1(2(3)(3))" for a triply nested kernel. The DSE partitioner groups
+// applications with geometrically similar hierarchies (paper §4.3.1).
+func (ki *KernelInfo) LoopShape() string {
+	var b strings.Builder
+	var walk func(li *LoopInfo)
+	walk = func(li *LoopInfo) {
+		fmt.Fprintf(&b, "%d", li.Depth+1)
+		if len(li.Children) > 0 {
+			for _, c := range li.Children {
+				b.WriteString("(")
+				walk(c)
+				b.WriteString(")")
+			}
+		}
+	}
+	for _, r := range ki.Roots {
+		walk(r)
+	}
+	return b.String()
+}
 
 // nestKernel builds: task loop > i loop (trip 16) > j loop (trip 8) with
 // a scalar fp accumulation carried by the j loop.

@@ -352,26 +352,6 @@ type Param struct {
 	ValKnown     bool
 }
 
-// ValueBits is the narrowest standard storage width (8/16/32/64 bits)
-// that provably holds every value the buffer carries. Without a proven
-// range — or for float elements, whose mantissa precision a value range
-// says nothing about — it is the element's natural width.
-func (p Param) ValueBits() int {
-	if !p.ValKnown || p.Elem.IsFloat() {
-		return p.Elem.Bits()
-	}
-	for _, b := range []int{8, 16, 32} {
-		if b >= p.Elem.Bits() {
-			break
-		}
-		half := float64(int64(1) << (b - 1))
-		if p.ValLo >= -half && p.ValHi <= half-1 {
-			return b
-		}
-	}
-	return p.Elem.Bits()
-}
-
 // Global is a read-only constant array available to the kernel (e.g. an
 // AES S-box). These compile from `final static` fields of registered S2FA
 // class templates.
@@ -417,16 +397,6 @@ func (k *Kernel) Param(name string) *Param {
 	for i := range k.Params {
 		if k.Params[i].Name == name {
 			return &k.Params[i]
-		}
-	}
-	return nil
-}
-
-// Global returns the named global, or nil.
-func (k *Kernel) Global(name string) *Global {
-	for i := range k.Globals {
-		if k.Globals[i].Name == name {
-			return &k.Globals[i]
 		}
 	}
 	return nil

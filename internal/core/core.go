@@ -54,8 +54,7 @@ type Framework struct {
 	Scratch *compile.Scratch
 	// Cache, when set, is the content-addressed compile cache: Compile
 	// serves repeated kernels from it (a hit skips the frontend and b2c
-	// entirely), and Deploy pre-seeds the Blaze purity gate from its
-	// cached facts. Cached and fresh runs are byte-identical.
+	// entirely). Cached and fresh runs are byte-identical.
 	Cache *ccache.Cache
 }
 
@@ -182,13 +181,6 @@ func (f *Framework) BuildFromClass(cls *bytecode.Class, k *cir.Kernel) (*Build, 
 func (f *Framework) Deploy(b *Build, mgr *blaze.Manager) error {
 	if b.Accelerator == nil {
 		return fmt.Errorf("core: build has no accelerator")
-	}
-	if f.Cache != nil {
-		// Seed the manager's purity gate from the cached facts so the
-		// first offload skips re-running the abstract interpreter.
-		if e := f.Cache.EntryFor(b.Kernel); e != nil && e.Facts != nil {
-			mgr.SeedPurity(b.Class, e.Facts)
-		}
 	}
 	return mgr.Register(b.Accelerator)
 }

@@ -1,5 +1,5 @@
-// Package depend implements exact loop-carried dependence and alias
-// analysis over the HLS-C IR (internal/cir).
+// Package depend implements exact loop-carried dependence analysis over
+// the HLS-C IR (internal/cir).
 //
 // Where cir's per-loop carried-array heuristic decomposes subscripts in a
 // single induction variable and compares symbolic remainders textually,
@@ -38,7 +38,7 @@ const (
 	// dependence distance (Verdict.MinDist).
 	Pipeline
 	// Sequential: the analysis could not bound the dependence structure
-	// (non-affine subscript, unbounded scalar, may-aliased buffers);
+	// (non-affine subscript, unbounded scalar, non-canonical step);
 	// iterations must be assumed fully serial.
 	Sequential
 )
@@ -53,17 +53,6 @@ func (k Kind) String() string {
 		return "sequential"
 	}
 	return "?"
-}
-
-// Config tunes the analysis. The zero value assumes distinctly named
-// buffers never alias, which holds for kernels produced by the
-// bytecode-to-C compiler (every parameter is a separate blaze buffer).
-type Config struct {
-	// MayAlias lists groups of array names that may refer to overlapping
-	// storage (e.g. a blaze entry point invoked with the same buffer
-	// bound to two parameters). Accesses to different members of a group
-	// are treated as conflicting with unknown distance.
-	MayAlias [][]string
 }
 
 // AccessRef identifies one array access, with its kdsl source position
@@ -179,27 +168,17 @@ type Analysis struct {
 	Verdicts map[string]*Verdict
 	Order    []string // loop IDs in preorder
 
-	cfg   Config
-	w     *walker
-	class map[string]string // array name -> alias class
+	w *walker
 }
 
-// Analyze runs the dependence analysis with the default configuration.
-func Analyze(k *cir.Kernel) *Analysis { return AnalyzeWith(k, Config{}) }
-
-// AnalyzeWith runs the dependence analysis with an explicit configuration.
-func AnalyzeWith(k *cir.Kernel, cfg Config) *Analysis {
+// Analyze runs the dependence analysis. Distinctly named arrays never
+// alias: the bytecode-to-C compiler gives every parameter its own Blaze
+// buffer.
+func Analyze(k *cir.Kernel) *Analysis {
 	an := &Analysis{
 		Kernel:   k,
 		Info:     cir.Analyze(k),
 		Verdicts: map[string]*Verdict{},
-		cfg:      cfg,
-		class:    map[string]string{},
-	}
-	for i, group := range cfg.MayAlias {
-		for _, name := range group {
-			an.class[name] = fmt.Sprintf("alias-group-%d", i)
-		}
 	}
 	an.w = newWalker()
 	an.w.collectFacts(k.Body)
@@ -251,15 +230,6 @@ func (a *Analysis) EffectiveRace(id string) []string {
 // contend on shared arrays after the reduce-output exemption — the
 // condition under which the HLS estimator serializes the lanes.
 func (a *Analysis) Serializing(id string) bool { return len(a.EffectiveRace(id)) > 0 }
-
-// classOf maps an array name to its alias class (its own name unless
-// grouped by Config.MayAlias).
-func (a *Analysis) classOf(arr string) string {
-	if c, ok := a.class[arr]; ok {
-		return c
-	}
-	return arr
-}
 
 type pairClass uint8
 
@@ -319,10 +289,10 @@ func (an *Analysis) verdictFor(n *loopNode, li *cir.LoopInfo) *Verdict {
 			if i == j && !a.write {
 				continue
 			}
-			if an.classOf(a.arr) != an.classOf(b.arr) {
+			if a.arr != b.arr {
 				continue
 			}
-			if a.arr == b.arr && n.localArrs[a.arr] {
+			if n.localArrs[a.arr] {
 				// Declared inside the loop body: iteration-local storage.
 				continue
 			}
@@ -428,13 +398,10 @@ func accessRef(a *access) AccessRef {
 	return AccessRef{Arr: a.arr, Index: cir.ExprString(a.idx), Pos: a.pos, Write: a.write}
 }
 
-// testPair classifies the dependence between two accesses across
-// iterations of loop n. Returns the class, the minimum distance (valid
+// testPair classifies the dependence between two accesses to one array
+// across iterations of loop n. Returns the class, the minimum distance (valid
 // for classCarried), and a reason string for classUnproven.
 func (an *Analysis) testPair(n *loopNode, a, b *access) (pairClass, int64, string) {
-	if a.arr != b.arr {
-		return classUnproven, 1, fmt.Sprintf("buffers %s and %s may alias", a.arr, b.arr)
-	}
 	if chainHasDupVars(a.chain) || chainHasDupVars(b.chain) {
 		return classUnproven, 1, "shadowed induction variable in loop nest"
 	}

@@ -27,13 +27,7 @@ func kern(body ...cir.Stmt) *cir.Kernel {
 
 func verdictOf(t *testing.T, k *cir.Kernel, id string) *Verdict {
 	t.Helper()
-	return verdictWith(t, k, id, Config{})
-}
-
-func verdictWith(t *testing.T, k *cir.Kernel, id string, cfg Config) *Verdict {
-	t.Helper()
-	a := AnalyzeWith(k, cfg)
-	v := a.Verdict(id)
+	v := Analyze(k).Verdict(id)
 	if v == nil {
 		t.Fatalf("no verdict for %s", id)
 	}
@@ -134,17 +128,12 @@ func TestEdgeTable(t *testing.T) {
 		}
 	})
 
-	t.Run("aliased params from blaze entry conflict", func(t *testing.T) {
+	t.Run("distinct buffers never conflict", func(t *testing.T) {
 		k := kern(loop("L0", "i", 0, 128,
 			&cir.Assign{LHS: idx("A", vref("i")), RHS: idx("B", vref("i"))},
 		))
-		v := verdictWith(t, k, "L0", Config{MayAlias: [][]string{{"A", "B"}}})
-		if v.Kind != Sequential || !strings.Contains(v.Witness, "alias") {
-			t.Fatalf("aliased buffers: want Sequential(alias), got %s", v.Describe())
-		}
-		// Without the alias config the same kernel is DOALL.
-		if v2 := verdictOf(t, k, "L0"); v2.Kind != DOALL {
-			t.Fatalf("distinct buffers: want DOALL, got %s", v2.Describe())
+		if v := verdictOf(t, k, "L0"); v.Kind != DOALL {
+			t.Fatalf("distinct buffers: want DOALL, got %s", v.Describe())
 		}
 	})
 

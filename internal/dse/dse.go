@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"fmt"
 	"math"
 
 	"s2fa/internal/cir"
@@ -581,32 +580,4 @@ func (s *scheduler) totalMinutes() float64 {
 		}
 	}
 	return total
-}
-
-// Summary renders a short human-readable report of the outcome.
-func (o *Outcome) Summary() string {
-	best := "none"
-	if o.Best.Feasible {
-		best = fmt.Sprintf("%.6fs", o.Best.Objective)
-	}
-	s := fmt.Sprintf("%s: best=%s evals=%d time=%.1fmin partitions=%d",
-		o.KernelName, best, o.Evaluations, o.TotalMinutes, len(o.Partitions))
-	if o.PrunedDomainValues > 0 || o.StaticallyPruned > 0 {
-		s += fmt.Sprintf(" statically-pruned=%d(+%d domain values)",
-			o.StaticallyPruned, o.PrunedDomainValues)
-	}
-	if o.DependPruned > 0 {
-		s += fmt.Sprintf(" depend-pruned=%d", o.DependPruned)
-	}
-	if o.AccessPruned > 0 {
-		s += fmt.Sprintf(" access-pruned=%d", o.AccessPruned)
-	}
-	if o.RangeCollapsed > 0 || o.RangeRestrictedValues > 0 {
-		s += fmt.Sprintf(" range-collapsed=%d(+%d dominated widths)",
-			o.RangeCollapsed, o.RangeRestrictedValues)
-	}
-	if o.StopReason != "" {
-		s += fmt.Sprintf(" stop=%s", o.StopReason)
-	}
-	return s
 }

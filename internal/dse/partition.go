@@ -54,7 +54,7 @@ func (p Partition) String() string {
 }
 
 // Space returns the sub-box of full the partition describes: full itself
-// when the partition is unconstrained. BuildPartitions only yields
+// when the partition is unconstrained. buildPartitions only yields
 // non-empty boxes, so a constraint that empties a domain is a
 // programmer error and panics.
 func (p Partition) Space(full *space.Space) *space.Space {
@@ -134,16 +134,13 @@ func DefaultPartitionConfig() PartitionConfig {
 	return PartitionConfig{TrainingSamples: 96, MaxDepth: 2, MinLeaf: 8}
 }
 
-// BuildPartitions trains a variance-impurity decision tree over offline
+// buildPartitions trains a variance-impurity decision tree over offline
 // samples and returns its leaves as disjoint design-space partitions
 // ordered by promise (ascending mean latency of training samples in the
 // leaf), which is the order the FCFS scheduler serves them in.
-func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg PartitionConfig, seed int64) []Partition {
-	return buildPartitions(s, k, eval, cfg, seed, nil)
-}
-
-// buildPartitions is BuildPartitions with an optional prefetch hook: the
-// full training-point list is generated up front (point generation never
+//
+// prefetch, when non-nil, is the parallel engine's hook: the full
+// training-point list is generated up front (point generation never
 // depends on evaluation results, so the random stream is unchanged) and
 // announced to prefetch before the in-order evaluations begin. The
 // parallel engine uses the hook to warm its evaluation pool so the ~100

@@ -5,10 +5,21 @@ import (
 	"testing"
 
 	"s2fa/internal/apps"
+	"s2fa/internal/cir"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
 	"s2fa/internal/space"
+	"s2fa/internal/tuner"
 )
+
+// BuildPartitions trains a variance-impurity decision tree over offline
+// samples and returns its leaves as disjoint design-space partitions
+// ordered by promise (ascending mean latency of training samples in the
+// leaf), which is the order the FCFS scheduler serves them in. It is
+// buildPartitions without the parallel engine's prefetch hook.
+func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg PartitionConfig, seed int64) []Partition {
+	return buildPartitions(s, k, eval, cfg, seed, nil)
+}
 
 // TestCandidateRulesWellFormed checks every generated rule is a valid
 // split: the parameter exists and the threshold ordinal leaves both sides

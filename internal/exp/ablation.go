@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"s2fa/internal/apps"
 )
 
 // AblationRow compares stopping criteria for one kernel.
@@ -32,7 +34,7 @@ type AblationResult struct {
 // StoppingAblation runs both criteria over the given apps.
 func StoppingAblation(s *Suite, appNames []string) (*AblationResult, error) {
 	if len(appNames) == 0 {
-		appNames = AppNames()
+		appNames = apps.Names()
 	}
 	out := &AblationResult{}
 	var entMin, triMin, gain float64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"s2fa/internal/apps"
 	"s2fa/internal/dse"
 )
 
@@ -48,7 +49,7 @@ type ComponentAblationResult struct {
 // the ablated runs themselves are unique to this experiment.
 func ComponentAblation(s *Suite, appNames []string) (*ComponentAblationResult, error) {
 	if len(appNames) == 0 {
-		appNames = AppNames()
+		appNames = apps.Names()
 	}
 	out := &ComponentAblationResult{}
 	var seedSaved, partLog float64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"s2fa/internal/apps"
 	"s2fa/internal/dse"
 )
 
@@ -53,7 +54,7 @@ type Fig3Result struct {
 // Fig3 reproduces Fig. 3 for the given apps (every app by default).
 func Fig3(s *Suite, appNames []string) (*Fig3Result, error) {
 	if len(appNames) == 0 {
-		appNames = AppNames()
+		appNames = apps.Names()
 	}
 	// With the parallel engine, compute all apps concurrently up front;
 	// the loop below then assembles the series from cache in app order,

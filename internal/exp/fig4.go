@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"s2fa/internal/apps"
 )
 
 // Fig4Row is one group of bars in Fig. 4: the speedups of the manual HLS
@@ -41,7 +43,7 @@ func Fig4(s *Suite) (*Fig4Result, error) {
 	var n int
 	var stringSum float64
 	var stringN int
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		r, err := s.Result(name, Modes{})
 		if err != nil {
 			return nil, err

@@ -169,7 +169,7 @@ func (s *Suite) Warm(appNames []string, modes Modes) error {
 		return nil
 	}
 	if len(appNames) == 0 {
-		appNames = AppNames()
+		appNames = apps.Names()
 	}
 	errs := make([]error, len(appNames))
 	var wg sync.WaitGroup
@@ -194,13 +194,4 @@ func (s *Suite) configure(cfg dse.Config) dse.Config {
 	cfg.Engine = s.Engine
 	cfg.Parallelism = s.Parallelism
 	return cfg
-}
-
-// AppNames returns the workloads in Table 2 order.
-func AppNames() []string {
-	var out []string
-	for _, a := range apps.All() {
-		out = append(out, a.Name)
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"s2fa/internal/apps"
 	"s2fa/internal/space"
 )
 
@@ -25,7 +26,7 @@ type Table2Row struct {
 // Table2 regenerates Table 2 from the S2FA DSE's best configurations.
 func Table2(s *Suite) ([]Table2Row, error) {
 	var rows []Table2Row
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		r, err := s.Result(name, Modes{})
 		if err != nil {
 			return nil, err
@@ -75,7 +76,7 @@ type Table1Row struct {
 // the S-W space exceeds a thousand trillion (1e15) points.
 func Table1(s *Suite) ([]Table1Row, error) {
 	var rows []Table1Row
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		r, err := s.Result(name, Modes{})
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package hls_test
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -70,7 +71,7 @@ func estimateDigest(t *testing.T, k *cir.Kernel, tasks int64, seed int64) string
 	for _, pt := range digestPoints(k, sp, seed) {
 		d := sp.Directives(pt)
 		ann, err := merlin.Annotate(k, d)
-		if cerr := merlin.Check(k, d); (cerr == nil) != (err == nil) || merlin.LegalityClass(cerr) != merlin.LegalityClass(err) {
+		if cerr := merlin.Check(k, d); (cerr == nil) != (err == nil) || legalityClass(cerr) != legalityClass(err) {
 			t.Errorf("%s %s: Check = %v, Annotate = %v", k.Name, pt.Key(), cerr, err)
 		}
 		if err != nil {
@@ -189,4 +190,18 @@ func TestPriceFiniteAndPure(t *testing.T) {
 			}
 		}
 	}
+}
+
+// legalityClass returns the typed merlin legality sentinel err wraps, or
+// nil when err is not a legality rejection.
+func legalityClass(err error) error {
+	for _, e := range []error{
+		merlin.ErrUnknownLoop, merlin.ErrUnknownParam, merlin.ErrIllegalFactor,
+		merlin.ErrNonConstantTrip, merlin.ErrIllegalBitWidth,
+	} {
+		if errors.Is(err, e) {
+			return e
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s2fa/internal/kdsl"
+	"s2fa/internal/kdslgen"
 )
 
 // TestDiagnosticsExact pins frontend error messages byte-for-byte:
@@ -136,5 +137,33 @@ func TestDiagnosticsExact(t *testing.T) {
 				t.Errorf("CompileSource error\n got %v\nwant %s", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestGeneratedNegativesRejectAtTheirStage holds kdslgen's negative
+// corpus to the same stage boundary: a RejectParse case fails Parse, and
+// a RejectCheck case parses cleanly and then fails Compile. The first
+// 64 negatives cycle through every template several times.
+func TestGeneratedNegativesRejectAtTheirStage(t *testing.T) {
+	stages := map[kdslgen.Reject]int{}
+	for _, n := range kdslgen.GenerateNegatives(5, 64) {
+		stages[n.Stage]++
+		switch n.Stage {
+		case kdslgen.RejectParse:
+			if _, err := kdsl.Parse(n.Source); err == nil {
+				t.Fatalf("%s (%s) parsed but must not:\n%s", n.Name, n.Why, n.Source)
+			}
+		case kdslgen.RejectCheck:
+			cls, err := kdsl.Parse(n.Source)
+			if err != nil {
+				t.Fatalf("%s (%s) must parse, got %v:\n%s", n.Name, n.Why, err, n.Source)
+			}
+			if _, err := kdsl.Compile(cls); err == nil {
+				t.Fatalf("%s (%s) compiled but must not:\n%s", n.Name, n.Why, n.Source)
+			}
+		}
+	}
+	if stages[kdslgen.RejectParse] == 0 || stages[kdslgen.RejectCheck] == 0 {
+		t.Fatalf("negative population misses a frontend stage: %v", stages)
 	}
 }

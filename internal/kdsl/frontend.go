@@ -16,10 +16,10 @@ type frontend struct {
 
 var frontends = compile.NewPool[frontend]()
 
-// astSlabs backs an AST's hottest node types. Parse gives every AST
-// private slabs, so the AST lives as long as its caller keeps it;
-// CompileSource parses into the pooled frontend's slabs and resets them
-// once the bytecode class is built, which retains nothing from the AST.
+// astSlabs backs an AST's hottest node types. CompileSource parses into
+// the pooled frontend's slabs and resets them once the bytecode class is
+// built, which retains nothing from the AST; a parse into fresh slabs
+// yields an AST that lives as long as its caller keeps it.
 type astSlabs struct {
 	ints    compile.Slab[IntLit]
 	floats  compile.Slab[FloatLit]

@@ -23,16 +23,9 @@ type lexer struct {
 	intern *compile.Interner
 }
 
-// Lex tokenizes the whole input, returning the token stream or the first
-// lexical error.
-func Lex(src string) ([]Token, error) {
-	fe := frontends.Get()
-	defer frontends.Put(fe)
-	return lexTokens(src, nil, &fe.strings)
-}
-
-// lexTokens is Lex with a reusable token buffer (appended from length 0)
-// and the interner identifier spellings go through.
+// lexTokens tokenizes the whole input into toks (appended from length
+// 0), returning the token stream or the first lexical error. Identifier
+// spellings go through intern.
 func lexTokens(src string, toks []Token, intern *compile.Interner) ([]Token, error) {
 	lx := lexer{src: src, line: 1, col: 1, intern: intern}
 	toks = toks[:0]

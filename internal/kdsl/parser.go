@@ -7,15 +7,6 @@ import (
 	"s2fa/internal/cir"
 )
 
-// Parse parses one kernel class definition from source text. The AST
-// owns its node storage and stays valid for as long as the caller keeps
-// it.
-func Parse(src string) (*ClassDef, error) {
-	fe := frontends.Get()
-	defer frontends.Put(fe)
-	return fe.parse(src, new(astSlabs))
-}
-
 type parser struct {
 	toks []Token
 	pos  int

@@ -150,6 +150,7 @@ func (k *Kernel) WithEvalDefect() *Kernel {
 
 // StmtCount returns the number of statements in the call body,
 // recursively — the size metric shrinking minimizes.
+// api:allow the size the shrinker tests and soak reports measure a reproducer by
 func (k *Kernel) StmtCount() int { return countBlock(k.p.Body) }
 
 func countBlock(b []stmt) int {
@@ -172,10 +173,10 @@ func countBlock(b []stmt) int {
 type Reject int
 
 const (
-	// RejectParse cases must fail kdsl.Parse.
+	// RejectParse cases must fail the kdsl parser.
 	RejectParse Reject = iota
-	// RejectCheck cases parse but must fail kdsl.Compile (the §3.3
-	// structure checker).
+	// RejectCheck cases parse but must fail the §3.3 structure checker
+	// (kdsl.Check, run by kdsl.Compile).
 	RejectCheck
 	// RejectPurity cases compile — the frontend admits them — but
 	// violate kernel purity: absint must report the class impure and

@@ -12,6 +12,7 @@ import "s2fa/internal/cir"
 // candidates can be broken in unrelated ways (a dropped declaration
 // leaves a dangling use, so the candidate no longer compiles), and the
 // predicate must answer false for those, not error out.
+// api:allow the soak suite minimizes each failing generated kernel with it
 func (k *Kernel) Shrink(fails func(*Kernel) bool) *Kernel {
 	cur := k.p
 	curW := weight(cur)

@@ -143,17 +143,6 @@ func (fs Findings) Warnings() Findings {
 	return out
 }
 
-// ByRule returns the findings reported under the given rule ID.
-func (fs Findings) ByRule(rule string) Findings {
-	var out Findings
-	for _, f := range fs {
-		if f.Rule == rule {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Sort orders findings deterministically: errors first, then by rule,
 // loop, location, and detail.
 func (fs Findings) Sort() {
@@ -198,22 +187,6 @@ func Lint(k *cir.Kernel) Findings {
 	fs = append(fs, checkBounds(k)...)
 	fs = append(fs, c.Directives(annotatedLoops(k), annotatedWidths(k))...)
 	fs = append(fs, checkAccess(k)...)
-	fs.Sort()
-	return fs
-}
-
-// PostTransform runs the passes that stay meaningful after Merlin has
-// materialized directives into the AST: structural invariants, dataflow,
-// and bounds. The legality pass is skipped deliberately — materialization
-// consumes factor directives but leaves the annotations in place as a
-// record (an unrolled loop keeps Opt.Parallel while its residual trip
-// count shrinks), so re-checking them against the rewritten loops would
-// reject records of legal, already-applied transforms.
-func PostTransform(k *cir.Kernel) Findings {
-	var fs Findings
-	fs = append(fs, CheckStructure(k)...)
-	fs = append(fs, checkDataflow(k)...)
-	fs = append(fs, checkBounds(k)...)
 	fs.Sort()
 	return fs
 }

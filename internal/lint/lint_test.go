@@ -7,6 +7,17 @@ import (
 	"s2fa/internal/cir"
 )
 
+// ByRule returns the findings reported under the given rule ID.
+func (fs Findings) ByRule(rule string) Findings {
+	var out Findings
+	for _, f := range fs {
+		if f.Rule == rule {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // IR-building helpers for hand-written kernels.
 
 func intLit(v int64) *cir.IntLit { return &cir.IntLit{K: cir.Int, Val: v} }

@@ -25,18 +25,3 @@ var (
 	// 512}, or targeting a scalar parameter.
 	ErrIllegalBitWidth = errors.New("illegal bit-width")
 )
-
-// LegalityClass returns the typed legality sentinel err wraps, or nil
-// when err is not a legality rejection. Two rejections of the same class
-// answer errors.Is alike for every sentinel.
-func LegalityClass(err error) error {
-	for _, e := range []error{
-		ErrUnknownLoop, ErrUnknownParam, ErrIllegalFactor,
-		ErrNonConstantTrip, ErrIllegalBitWidth,
-	} {
-		if errors.Is(err, e) {
-			return e
-		}
-	}
-	return nil
-}

@@ -133,6 +133,7 @@ func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 // Loops are processed outermost-first so that directives target the
 // original loop IDs; tiling-created inner loops get derived IDs and take
 // no further directives.
+// api:allow executable-rewrite oracle: merlin, lint, cir and soak tests run materialized designs against the annotated kernel
 func Materialize(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 	out, err := Annotate(k, d)
 	if err != nil {

@@ -116,6 +116,7 @@ type Option func(*Trace)
 
 // WithClock replaces the real clock (nanoseconds since trace start).
 // Tests use a deterministic counter so emitted bytes are reproducible.
+// api:allow test hook: golden traces and reports need a deterministic clock
 func WithClock(now func() int64) Option {
 	return func(t *Trace) { t.now = now }
 }

@@ -14,6 +14,7 @@ import (
 	"s2fa/internal/kdsl"
 	"s2fa/internal/kdslgen"
 	"s2fa/internal/space"
+	"s2fa/internal/tuner"
 )
 
 // identityKernel is one kernel whose space the identity tests sample.
@@ -101,18 +102,27 @@ func checkIdentity[I comparable](t *testing.T, name string, pts []space.Point, i
 	}
 }
 
+// partitions returns the decision-tree partitions a seed-1 DSE run
+// with the default partition config searches. A one-evaluation budget
+// ends the search right after training; the tree is built before the
+// search starts, so the budget does not change it.
+func partitions(sp *space.Space, k *cir.Kernel, eval tuner.Evaluator) []dse.Partition {
+	pc := dse.DefaultPartitionConfig()
+	return dse.Run(k, sp, eval, dse.Config{Partition: &pc, Seed: 1, MaxEvaluations: 1}).Partitions
+}
+
 // TestIdentityMatchesKey is the identity's contract over the 12
 // workloads and seeded generated kernels: two points get the same code
 // and the same table ID exactly when their Keys are equal, and a point
-// has the same code in the full space as in every partition sub-box
-// BuildPartitions carves from it.
+// has the same code in the full space as in every partition sub-box a
+// seed-1 S2FA run carves from it.
 func TestIdentityMatchesKey(t *testing.T) {
 	for _, ik := range identityKernels(t) {
 		sp := space.Identify(ik.k)
 		rng := rand.New(rand.NewSource(7))
 		pts := samplePoints(sp, rng)
 		eval := dse.NewEvaluator(ik.k, sp, fpga.VU9P(), ik.tasks, hls.Options{})
-		parts := dse.BuildPartitions(sp, ik.k, eval, dse.DefaultPartitionConfig(), 1)
+		parts := partitions(sp, ik.k, eval)
 		subs := 0
 		for _, p := range parts {
 			if len(p.Constraints) == 0 {

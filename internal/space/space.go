@@ -13,7 +13,6 @@
 package space
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -256,24 +255,6 @@ func (s *Space) RandomPoint(rng *rand.Rand) Point {
 		pt[p.Name] = p.Random(rng)
 	}
 	return pt
-}
-
-// Validate checks that pt assigns an in-domain value to every parameter.
-func (s *Space) Validate(pt Point) error {
-	if len(pt) != len(s.Params) {
-		return fmt.Errorf("space: point has %d assignments, space has %d parameters", len(pt), len(s.Params))
-	}
-	for i := range s.Params {
-		p := &s.Params[i]
-		v, ok := pt[p.Name]
-		if !ok {
-			return fmt.Errorf("space: point missing parameter %q", p.Name)
-		}
-		if !p.Contains(v) {
-			return fmt.Errorf("space: parameter %q value %d outside domain", p.Name, v)
-		}
-	}
-	return nil
 }
 
 // PipelineMode decodes a pipeline factor value.

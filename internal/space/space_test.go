@@ -76,6 +76,24 @@ func TestOrdinalRoundTrip(t *testing.T) {
 	}
 }
 
+// Validate checks that pt assigns an in-domain value to every parameter.
+func (s *Space) Validate(pt Point) error {
+	if len(pt) != len(s.Params) {
+		return fmt.Errorf("space: point has %d assignments, space has %d parameters", len(pt), len(s.Params))
+	}
+	for i := range s.Params {
+		p := &s.Params[i]
+		v, ok := pt[p.Name]
+		if !ok {
+			return fmt.Errorf("space: point missing parameter %q", p.Name)
+		}
+		if !p.Contains(v) {
+			return fmt.Errorf("space: parameter %q value %d outside domain", p.Name, v)
+		}
+	}
+	return nil
+}
+
 func TestRandomPointValidates(t *testing.T) {
 	s := swSpace(t)
 	rng := rand.New(rand.NewSource(9))

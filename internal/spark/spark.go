@@ -64,12 +64,6 @@ func Parallelize[T any](ctx *Context, data []T, numPart int) *RDD[T] {
 	}
 }
 
-// Context returns the RDD's context.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return r.numPart }
-
 // Cache marks the RDD for in-memory caching after first materialization,
 // the trait that makes Spark effective for iterative ML (paper §2).
 func (r *RDD[T]) Cache() *RDD[T] {
@@ -141,39 +135,4 @@ func (r *RDD[T]) Count() int {
 		n += len(p)
 	}
 	return n
-}
-
-// Map applies f lazily to every element.
-func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	return &RDD[U]{
-		ctx:     r.ctx,
-		numPart: r.numPart,
-		compute: func(p int) []U {
-			in := r.Partition(p)
-			out := make([]U, len(in))
-			for i, v := range in {
-				out[i] = f(v)
-			}
-			return out
-		},
-	}
-}
-
-// Reduce folds the dataset with an associative combiner. The dataset must
-// be non-empty.
-func Reduce[T any](r *RDD[T], f func(T, T) T) T {
-	parts := r.materializeAll()
-	var acc T
-	seeded := false
-	for _, p := range parts {
-		for _, v := range p {
-			if !seeded {
-				acc = v
-				seeded = true
-				continue
-			}
-			acc = f(acc, v)
-		}
-	}
-	return acc
 }

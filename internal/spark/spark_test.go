@@ -6,6 +6,44 @@ import (
 	"testing/quick"
 )
 
+// NumPartitions returns the partition count.
+func (r *RDD[T]) NumPartitions() int { return r.numPart }
+
+// Map applies f lazily to every element.
+func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
+	return &RDD[U]{
+		ctx:     r.ctx,
+		numPart: r.numPart,
+		compute: func(p int) []U {
+			in := r.Partition(p)
+			out := make([]U, len(in))
+			for i, v := range in {
+				out[i] = f(v)
+			}
+			return out
+		},
+	}
+}
+
+// Reduce folds the dataset with an associative combiner. The dataset must
+// be non-empty.
+func Reduce[T any](r *RDD[T], f func(T, T) T) T {
+	parts := r.materializeAll()
+	var acc T
+	seeded := false
+	for _, p := range parts {
+		for _, v := range p {
+			if !seeded {
+				acc = v
+				seeded = true
+				continue
+			}
+			acc = f(acc, v)
+		}
+	}
+	return acc
+}
+
 func nums(n int) []int {
 	out := make([]int, n)
 	for i := range out {
