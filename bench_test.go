@@ -320,7 +320,7 @@ func BenchmarkJVMInterpreter(b *testing.B) {
 
 // BenchmarkJVMBaseline measures the single-thread JVM baseline on every
 // workload under both engines: the switch-dispatch interpreter and the
-// closure-compiled template JIT. Outputs and Counts are bit-identical
+// typed JIT. Outputs and Counts are bit-identical
 // across engines (internal/apps TestJITDifferentialAllApps); this
 // measures the wall-clock the suite stops spending on its largest
 // serial cost center, and the allocations: a warm JIT batch allocates

@@ -2,7 +2,7 @@ package main
 
 // Performance baseline mode: `-bench FILE` measures the Fig. 3
 // regeneration on both DSE engines, the JVM baselines on both JVM
-// engines (closure-compiled JIT vs interpreter) and the pipeline-stage
+// engines (typed JIT vs interpreter) and the pipeline-stage
 // micros, and writes them as JSON; `-bench-check FILE` re-measures and
 // fails on regression against the committed baseline. Wall-clock
 // comparisons are only meaningful on matching hardware, so every gate
@@ -48,7 +48,7 @@ import (
 const (
 	benchParallelism = 8
 	minSpeedup       = 2.0
-	// minJITSpeedup gates the closure-compiled JVM engine against the
+	// minJITSpeedup gates the typed JIT JVM engine against the
 	// interpreter on the S-W batch (the heaviest baseline workload).
 	minJITSpeedup   = 3.0
 	regressionSlack = 1.20 // fail when current > committed * this
@@ -239,7 +239,7 @@ func jvmBaselineMS() (interpMS, jitMS float64, err error) {
 	return interpMS, jitMS, nil
 }
 
-// jitSpeedupSW measures interpreter vs closure-compiled wall-clock on
+// jitSpeedupSW measures interpreter vs typed JIT wall-clock on
 // the S-W task batch (the BenchmarkJVMBaseline/S-W pairing).
 func jitSpeedupSW() (float64, error) {
 	a := apps.Get("S-W")

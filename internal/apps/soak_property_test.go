@@ -166,6 +166,18 @@ func soakSameField(ref kdslgen.FieldVal, got jvmsim.Val) bool {
 	return true
 }
 
+// soakSameRun compares the interpreter's and the JIT's error and Counts
+// after the same invocations, returning "" when they agree.
+func soakSameRun(errI, errJ error, cI, cJ jvmsim.Counts) string {
+	switch {
+	case (errI == nil) != (errJ == nil) || errI != nil && errI.Error() != errJ.Error():
+		return fmt.Sprintf("error: interp %v, jit %v", errI, errJ)
+	case cI != cJ:
+		return fmt.Sprintf("counts: interp %+v, jit %+v", cI, cJ)
+	}
+	return ""
+}
+
 // runSoakPipeline drives one kernel through the full toolchain and
 // returns ("", "") on success or (stage, detail) naming the first
 // broken invariant. It is deliberately free of *testing.T so the
@@ -221,7 +233,9 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 		}
 	}
 
-	// Reference semantics vs JVM interpreter, bit-exact per task.
+	// JVM interpreter, then the JIT engine against it: bit-exact
+	// outputs, Counts and error text, after the map batch and again
+	// after the reduce fold.
 	rng := rand.New(rand.NewSource(soakTaskSeed(seed, k.ID)))
 	raw := make([][]kdslgen.FieldVal, soakTasks)
 	tasks := make([]jvmsim.Val, soakTasks)
@@ -230,61 +244,68 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 		tasks[i] = soakVal(raw[i])
 	}
 	vm := jvmsim.New(cls)
-	outs := make([]jvmsim.Val, soakTasks)
-	refs := make([]kdslgen.FieldVal, soakTasks)
-	for i := range tasks {
-		got, err := vm.Call(tasks[i])
+	outs := make([]jvmsim.Val, 0, soakTasks)
+	var errI error
+	for _, task := range tasks {
+		got, err := vm.Call(task)
 		if err != nil {
-			return "jvm", fmt.Sprintf("task %d: %v", i, err)
+			errI = err
+			break
 		}
-		want, err := k.Eval(raw[i])
-		if err != nil {
-			return "reference", fmt.Sprintf("task %d: %v", i, err)
-		}
-		if !soakSameField(want, got) {
-			return "ref-vs-jvm", fmt.Sprintf("task %d: reference %v, jvm %v", i, want, got)
-		}
-		outs[i], refs[i] = got, want
+		outs = append(outs, got)
 	}
-	redJVM := soakCopyVal(outs[0])
-	if k.HasReduce() {
-		refAcc := refs[0]
-		for i := 1; i < soakTasks; i++ {
-			if redJVM, err = vm.Reduce(redJVM, outs[i]); err != nil {
-				return "jvm-reduce", err.Error()
-			}
-			if refAcc, err = k.EvalReduce(refAcc, refs[i]); err != nil {
-				return "reference-reduce", err.Error()
-			}
-		}
-		if !soakSameField(refAcc, redJVM) {
-			return "ref-vs-jvm-reduce", fmt.Sprintf("reference %v, jvm %v", refAcc, redJVM)
-		}
-	}
-
-	// JIT engine vs interpreter, bit-exact including the reduce fold.
 	vmJ := jvmsim.New(cls)
 	if !vmJ.TryJIT() {
 		return "jit", "TryJIT = false"
 	}
-	outJ, err := vmJ.CallBatch(tasks)
-	if err != nil {
-		return "jit", err.Error()
+	outJ, errJ := vmJ.CallBatch(tasks)
+	if d := soakSameRun(errI, errJ, vm.Counts, vmJ.Counts); d != "" {
+		return "jit-vs-interp", d
+	}
+	if errI != nil {
+		return "jvm", fmt.Sprintf("task %d: %v", len(outs), errI)
 	}
 	for i := range outs {
 		if !soakSameVal(outs[i], outJ[i]) {
 			return "jit-vs-interp", fmt.Sprintf("task %d: interp %v, jit %v", i, outs[i], outJ[i])
 		}
 	}
+
+	// Reference semantics vs JVM interpreter, bit-exact per task.
+	refs := make([]kdslgen.FieldVal, soakTasks)
+	for i := range tasks {
+		want, err := k.Eval(raw[i])
+		if err != nil {
+			return "reference", fmt.Sprintf("task %d: %v", i, err)
+		}
+		if !soakSameField(want, outs[i]) {
+			return "ref-vs-jvm", fmt.Sprintf("task %d: reference %v, jvm %v", i, want, outs[i])
+		}
+		refs[i] = want
+	}
+	redJVM := soakCopyVal(outs[0])
 	if k.HasReduce() {
 		redJIT := soakCopyVal(outJ[0])
-		for i := 1; i < soakTasks; i++ {
-			if redJIT, err = vmJ.Reduce(redJIT, outJ[i]); err != nil {
-				return "jit-reduce", err.Error()
+		var errRI, errRJ error
+		refAcc := refs[0]
+		for i := 1; i < soakTasks && errRI == nil && errRJ == nil; i++ {
+			redJVM, errRI = vm.Reduce(redJVM, outs[i])
+			redJIT, errRJ = vmJ.Reduce(redJIT, outJ[i])
+			if refAcc, err = k.EvalReduce(refAcc, refs[i]); err != nil {
+				return "reference-reduce", err.Error()
 			}
+		}
+		if d := soakSameRun(errRI, errRJ, vm.Counts, vmJ.Counts); d != "" {
+			return "jit-vs-interp-reduce", d
+		}
+		if errRI != nil {
+			return "jvm-reduce", errRI.Error()
 		}
 		if !soakSameVal(redJVM, redJIT) {
 			return "jit-vs-interp-reduce", fmt.Sprintf("interp %v, jit %v", redJVM, redJIT)
+		}
+		if !soakSameField(refAcc, redJVM) {
+			return "ref-vs-jvm-reduce", fmt.Sprintf("reference %v, jvm %v", refAcc, redJVM)
 		}
 	}
 

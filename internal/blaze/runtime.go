@@ -306,7 +306,7 @@ func (a *AccRDD) execKernel(acc *Accelerator, enc *Encoder, tasks []jvmsim.Val, 
 }
 
 func (a *AccRDD) fallbackMap(vm *jvmsim.VM, tasks []jvmsim.Val, why string, req int64) ([]jvmsim.Val, Stats, error) {
-	// Opportunistically execute through the closure-compiled kernel: the
+	// Opportunistically execute through the typed JIT: the
 	// JIT preserves outputs, Counts, and errors bit-for-bit, so the
 	// fallback's results and modeled SimTime are unchanged — only the
 	// host-side wall clock spent simulating the JVM shrinks.

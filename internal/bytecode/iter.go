@@ -6,9 +6,9 @@ package bytecode
 // callers that care (the verifier) reject them separately.
 //
 // The verifier uses leaders to enforce the statement-boundary invariant
-// (empty operand stack at every block boundary); the jvmsim template JIT
-// uses the same set as fusion barriers, so a superinstruction never
-// swallows an instruction some branch can land on.
+// (empty operand stack at every block boundary); the jvmsim JIT splits
+// methods into the same blocks, so a statement tree never spans an
+// instruction some branch can land on.
 func Leaders(m *Method) []bool { return leadersInto(m, nil) }
 
 // leadersInto is Leaders with a reusable buffer (resized and cleared, or

@@ -7,14 +7,16 @@ import (
 )
 
 // The binary operator table: one row per (BinOp, Kind) with the
-// operator's semantics resolved once. The compiled evaluator lowers
-// expressions to the row's typed forms, the JVM simulator's JIT and
-// EvalBinary apply its Value form, so operator semantics live here only.
+// operator's semantics resolved once. The compiled evaluator and the JVM
+// simulator's JIT lower expressions to the row's typed forms, EvalBinary
+// applies its Value form, so operator semantics live here only.
 
+// The typed forms compose plain closures, so a compiler outside this
+// package can build them from its own operands.
 type (
-	intFn   func() int64
-	floatFn func() float64
-	boolFn  func() bool
+	intFn   = func() int64
+	floatFn = func() float64
+	boolFn  = func() bool
 )
 
 // operator is one (op, kind) row of the table.
@@ -55,11 +57,15 @@ func lookup(op BinOp, k Kind) *operator {
 	return &o
 }
 
-// BinaryFunc returns the table's Value form of op at kind k: what
-// EvalBinary(op, k, l, r) computes, with the dispatch on op and k done
-// once.
-func BinaryFunc(op BinOp, k Kind) func(l, r Value) (Value, error) {
-	return lookup(op, k).value
+// BinaryFunc returns the typed forms of the row of op at kind k, each
+// nil where the row has none (see operator): arithmetic over AsInt or
+// AsFloat, and a comparison over I or AsFloat. A row with neither
+// arithmetic nor comparison always fails in EvalBinary. An integer Div
+// or Rem form fails through the evaluator's error exit on a zero
+// divisor, so a caller with its own error exit tests the divisor first.
+func BinaryFunc(op BinOp, k Kind) (int func(l, r intFn) intFn, float func(l, r floatFn) floatFn, intCmp func(l, r intFn) boolFn, floatCmp func(l, r floatFn) boolFn) {
+	o := lookup(op, k)
+	return o.int, o.float, o.intCmp, o.floatCmp
 }
 
 // EvalBinary applies a non-logical binary operator to two scalar values

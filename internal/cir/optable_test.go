@@ -164,8 +164,8 @@ func TestBinaryTableMatchesEvalBinary(t *testing.T) {
 					if got, gerr := EvalBinary(op, k, l, r); errString(gerr) != errString(werr) || !sameValue(got, want) {
 						report("EvalBinary", l, r, fmt.Sprintf("%+v, %v", got, gerr), fmt.Sprintf("%+v, %v", want, werr))
 					}
-					if got, gerr := BinaryFunc(op, k)(l, r); errString(gerr) != errString(werr) || !sameValue(got, want) {
-						report("BinaryFunc", l, r, fmt.Sprintf("%+v, %v", got, gerr), fmt.Sprintf("%+v, %v", want, werr))
+					if got, gerr := o.value(l, r); errString(gerr) != errString(werr) || !sameValue(got, want) {
+						report("value", l, r, fmt.Sprintf("%+v, %v", got, gerr), fmt.Sprintf("%+v, %v", want, werr))
 					}
 					if !typed {
 						if werr == nil {

@@ -40,7 +40,7 @@ func StoppingAblation(s *Suite, appNames []string) (*AblationResult, error) {
 	var entMin, triMin, gain float64
 	var gainN int
 	for _, name := range appNames {
-		r, err := s.Result(name, Modes{Trivial: true})
+		r, err := s.result(name, Modes{Trivial: true}, false)
 		if err != nil {
 			return nil, err
 		}

@@ -28,8 +28,8 @@ const (
 
 // JVMSecondsForEngine models the single-threaded Spark executor time
 // for n tasks of the app by executing a sample batch and scaling. The
-// modeled seconds depend only on Counts, which the closure-compiled
-// engine (jit=true, what the suite and the s2fa CLI run) preserves
+// modeled seconds depend only on Counts, which the typed JIT
+// (jit=true, what the suite and the s2fa CLI run) preserves
 // bit-for-bit, so both engines give the same value; jit=false runs the
 // reference interpreter, the oracle the golden test and s2fa-bench
 // compare against. An optional trace receives the per-app baseline span

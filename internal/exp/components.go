@@ -56,7 +56,7 @@ func ComponentAblation(s *Suite, appNames []string) (*ComponentAblationResult, e
 	var seedN, partN int
 	var stopSaved float64
 	for _, name := range appNames {
-		r, err := s.Result(name, Modes{})
+		r, err := s.result(name, Modes{}, false)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"s2fa/internal/apps"
+	"s2fa/internal/obs"
 )
 
 // The suite is expensive enough (seconds) to share across tests; all
@@ -316,5 +317,43 @@ func TestShapeHoldsAcrossSeeds(t *testing.T) {
 				t.Errorf("seed %d: %s S2FA ran longer than vanilla", seed, series.App)
 			}
 		}
+	}
+}
+
+// baselineSpans counts the jvm/baseline spans the trace recorded per app.
+func baselineSpans(mem *obs.MemorySink) map[string]int {
+	n := map[string]int{}
+	for _, e := range mem.Events() {
+		if e.Ph == obs.PhaseBegin && e.Cat == "jvm" && e.Name == "baseline" {
+			n[e.Args["app"].(string)]++
+		}
+	}
+	return n
+}
+
+// TestFig3SkipsBaseline pins the lazy baseline: Fig. 3 never reads
+// JVMSeconds, so it runs no JVM baseline, and the Fig. 4 that follows
+// on the same suite runs exactly one per app, the Fig. 3 apps included.
+func TestFig3SkipsBaseline(t *testing.T) {
+	mem := obs.NewMemory()
+	s := NewSuite(1)
+	s.Trace = obs.New(mem)
+	if _, err := Fig3(s, []string{"PR", "KMeans"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := baselineSpans(mem); len(n) != 0 {
+		t.Fatalf("Fig3 ran JVM baselines: %v", n)
+	}
+	if _, err := Fig4(s); err != nil {
+		t.Fatal(err)
+	}
+	n := baselineSpans(mem)
+	for _, name := range apps.Names() {
+		if n[name] != 1 {
+			t.Errorf("%s: %d jvm/baseline spans after Fig4, want 1", name, n[name])
+		}
+	}
+	if len(n) != len(apps.Names()) {
+		t.Errorf("baseline spans for %d apps, want %d", len(n), len(apps.Names()))
 	}
 }

@@ -67,7 +67,7 @@ func Fig3(s *Suite, appNames []string) (*Fig3Result, error) {
 	var qorLog float64
 	var qorN int
 	for _, name := range appNames {
-		r, err := s.Result(name, Modes{Vanilla: true})
+		r, err := s.result(name, Modes{Vanilla: true}, false)
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ type Table2Row struct {
 func Table2(s *Suite) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, name := range apps.Names() {
-		r, err := s.Result(name, Modes{})
+		r, err := s.result(name, Modes{}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ type Table1Row struct {
 func Table1(s *Suite) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, name := range apps.Names() {
-		r, err := s.Result(name, Modes{})
+		r, err := s.result(name, Modes{}, false)
 		if err != nil {
 			return nil, err
 		}

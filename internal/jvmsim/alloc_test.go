@@ -9,6 +9,7 @@ import (
 	"s2fa/internal/cir"
 	"s2fa/internal/jvmsim"
 	"s2fa/internal/kdsl"
+	"s2fa/internal/kdslgen"
 )
 
 // escapedAllocs counts the heap objects a result Val carries out of an
@@ -138,4 +139,36 @@ class Stale extends Accelerator[Int, Int] {
 			t.Errorf("free list holds %d arrays, want the one recycled array", n)
 		}
 	})
+}
+
+// TestAppsLowerFully pins the analysis's reach: every block of every
+// app kernel and of a generated kernel population is lowered, so no
+// baseline hands work to the interpreter.
+func TestAppsLowerFully(t *testing.T) {
+	for _, a := range apps.All() {
+		cls, err := a.Class()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := jvmsim.Compile(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := jvmsim.Unlowered(p); n != 0 {
+			t.Errorf("%s: %d blocks left to the interpreter", a.Name, n)
+		}
+	}
+	for _, k := range kdslgen.Generate(42, 64) {
+		cls, err := kdsl.CompileSource(k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := jvmsim.Compile(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := jvmsim.Unlowered(p); n != 0 {
+			t.Errorf("%s: %d blocks left to the interpreter", k.Name, n)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package jvmsim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -45,8 +46,8 @@ func diffCall(t *testing.T, cls *bytecode.Class, maxSteps int64, in Val) {
 
 func intVal(v int64) Val { return Scalar(cir.IntVal(cir.Int, v)) }
 
-// fusionKernels exercise each superinstruction rule from source-level
-// kernels whose bytecode contains the fused pattern.
+// fusionKernels exercise the statement-tree lowering from source-level
+// kernels whose bytecode builds multi-instruction trees.
 var fusionKernels = []struct {
 	name     string
 	src      string
@@ -108,9 +109,9 @@ class F3 extends Accelerator[(Int, Int), Int] {
 	},
 }
 
-// TestFusionRules compiles one kernel per superinstruction family,
-// checks the rule actually fired, and proves the fused execution is
-// byte-identical to the interpreter.
+// TestFusionRules compiles one kernel per tree shape, checks that the
+// lowering built trees (JITStats.Fused), and proves the lowered
+// execution is byte-identical to the interpreter.
 func TestFusionRules(t *testing.T) {
 	for _, tc := range fusionKernels {
 		tc := tc
@@ -130,7 +131,7 @@ func TestFusionRules(t *testing.T) {
 }
 
 // straightLineClass hand-assembles `call(in: Int): Int = in + in`, whose
-// body is exactly one load-load-bin superinstruction plus a return —
+// body is one block and one statement tree (a return of load+load+bin) —
 // four bytecode steps total.
 func straightLineClass(t *testing.T, extra ...bytecode.Instr) *bytecode.Class {
 	t.Helper()
@@ -152,10 +153,10 @@ func straightLineClass(t *testing.T, extra ...bytecode.Instr) *bytecode.Class {
 	return &bytecode.Class{Name: "SL", ID: "sl", Call: m, InSizes: []int{1}}
 }
 
-// TestMaxStepsBoundary walks the budget through every prefix of a fused
-// superinstruction and asserts interpreter and JIT exhaust the budget at
-// the same component with the same partial Counts — the per-component
-// charging contract that keeps MaxSteps semantics identical.
+// TestMaxStepsBoundary walks the budget through every prefix of a
+// lowered block and asserts interpreter and JIT exhaust the budget at
+// the same instruction with the same partial Counts — the hand-over
+// contract that keeps MaxSteps semantics identical.
 func TestMaxStepsBoundary(t *testing.T) {
 	cls := straightLineClass(t)
 	for budget := int64(1); budget <= 5; budget++ {
@@ -196,7 +197,7 @@ func TestDefaultMaxSteps(t *testing.T) {
 // load-load-bin triple is a branch target. Structurally verified code
 // can never look like this (the operand stack is non-empty mid
 // expression, so interiors are never leaders) — the JIT must reject it
-// rather than fuse across the boundary or miscompile.
+// rather than build a tree across the boundary or miscompile.
 func TestFusionBarrierAtLeader(t *testing.T) {
 	cmPlain, err := compileMethod(straightLineClass(t), straightLineClass(t).Call)
 	if err != nil {
@@ -333,5 +334,71 @@ func TestCompileCachedSharing(t *testing.T) {
 	}
 	if a != b {
 		t.Error("CompileCached returned distinct programs for one class")
+	}
+}
+
+// TestHandOver drives the two ways the lowering gives an invocation to
+// the interpreter: an argument of another kind than its parameter
+// declares (from the start), and a block the analysis leaves unlowered
+// because it stores a Long into an Int local (at its leader, with the
+// locals rebuilt from the typed slots). Both must stay byte-identical to
+// the interpreter under every budget.
+func TestHandOver(t *testing.T) {
+	for budget := int64(0); budget <= 5; budget++ {
+		diffCall(t, straightLineClass(t), budget, Scalar(cir.IntVal(cir.Long, 5)))
+	}
+	code := []bytecode.Instr{
+		{Op: bytecode.OpLoad, A: 0},
+		{Op: bytecode.OpStore, A: 1},
+		{Op: bytecode.OpGoto, Target: 3},
+		{Op: bytecode.OpConst, Kind: cir.Long, Val: cir.IntVal(cir.Long, 1<<40)},
+		{Op: bytecode.OpStore, A: 2},
+		{Op: bytecode.OpLoad, A: 2},
+		{Op: bytecode.OpLoad, A: 1},
+		{Op: bytecode.OpBin, Bin: cir.Add, Kind: cir.Long},
+		{Op: bytecode.OpReturn},
+	}
+	i32 := bytecode.Prim(cir.Int)
+	cls := &bytecode.Class{Name: "HO", ID: "ho", InSizes: []int{1}, Call: &bytecode.Method{
+		Name:       "call",
+		Params:     []bytecode.TypeDesc{i32},
+		Ret:        bytecode.Prim(cir.Long),
+		LocalTypes: []bytecode.TypeDesc{i32, i32, i32},
+		LocalNames: []string{"in", "a", "b"},
+		Code:       code,
+	}}
+	p, err := Compile(cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Unlowered(p); n != 1 {
+		t.Fatalf("unlowered blocks = %d, want the one storing a Long into an Int local", n)
+	}
+	for budget := int64(0); budget <= 10; budget++ {
+		diffCall(t, cls, budget, intVal(21))
+	}
+	// An unlowered entry block hands over at once, even under a budget
+	// that no block's steps exceed.
+	entry := &bytecode.Class{Name: "HE", ID: "he", InSizes: []int{1}, Call: &bytecode.Method{
+		Name:       "call",
+		Params:     []bytecode.TypeDesc{i32},
+		Ret:        bytecode.Prim(cir.Int),
+		LocalTypes: []bytecode.TypeDesc{i32, i32},
+		LocalNames: []string{"in", "a"},
+		Code: []bytecode.Instr{
+			{Op: bytecode.OpConst, Kind: cir.Long, Val: cir.IntVal(cir.Long, 1<<40)},
+			{Op: bytecode.OpStore, A: 1},
+			{Op: bytecode.OpLoad, A: 1},
+			{Op: bytecode.OpReturn},
+		},
+	}}
+	if p, err = Compile(entry); err != nil {
+		t.Fatal(err)
+	}
+	if n := Unlowered(p); n != 1 {
+		t.Fatalf("unlowered blocks = %d, want the entry block", n)
+	}
+	for _, budget := range []int64{0, 3, math.MaxInt64} {
+		diffCall(t, entry, budget, intVal(21))
 	}
 }

@@ -87,22 +87,20 @@ type VM struct {
 	// compiled path has no per-instruction observation point.
 	Trace func(m *bytecode.Method, pc int, stack []Val, locals []Val)
 
-	// prog, when non-nil (set by TryJIT), is the closure-compiled form
-	// of Class; Call, Reduce, and Invoke execute through it (unless
-	// Trace is set). frCall/frReduce are the reusable frame arenas — one
-	// per method, valid because the instruction set has no method calls,
-	// so invocations never nest. Each also keeps the free list of arrays
-	// its invocations allocated and did not return.
-	prog     *Program
-	frCall   *frame
-	frReduce *frame
+	// prog, when non-nil (set by TryJIT), is the analyzed form of
+	// Class; Call, Reduce, and Invoke execute through it (unless Trace
+	// is set).
+	prog *Program
+	// free holds the arrays compiled invocations allocated and did not
+	// return, for later ones to reuse (see frame.newArray).
+	free [][]cir.Value
 }
 
 // DefaultMaxSteps is the per-invocation step budget applied when
 // VM.MaxSteps is zero. One "step" is one executed bytecode instruction;
-// fused superinstructions in the compiled path charge one step per
-// fused component, so interpreter and JIT exhaust the budget at the
-// same instruction.
+// the compiled path charges a block's steps on entry and hands a block
+// that does not fit the remaining budget to the interpreter, so both
+// engines exhaust the budget at the same instruction.
 const DefaultMaxSteps = 500_000_000
 
 // budget resolves the effective per-invocation step budget. This is the
@@ -160,8 +158,8 @@ func (vm *VM) Reduce(a, b Val) (Val, error) {
 // Both paths produce byte-identical outputs, Counts, and errors.
 func (vm *VM) Invoke(m *bytecode.Method, args []Val) (Val, error) {
 	if vm.prog != nil && vm.Trace == nil {
-		if cm, fr := vm.compiled(m); cm != nil {
-			return vm.invokeCompiled(cm, fr, args)
+		if cm := vm.compiled(m); cm != nil {
+			return vm.invokeCompiled(cm, args)
 		}
 	}
 	return vm.interpret(m, args)
@@ -175,6 +173,13 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 	}
 	locals := make([]Val, len(m.LocalTypes))
 	copy(locals, args)
+	return vm.run(m, locals, 0, 0)
+}
+
+// run interprets m from pc with the given locals and an empty operand
+// stack, steps of the invocation's budget already spent. The compiled
+// engine enters here at a block leader it hands over.
+func (vm *VM) run(m *bytecode.Method, locals []Val, pc int, steps int64) (Val, error) {
 	var stack []Val
 	push := func(v Val) { stack = append(stack, v) }
 	pop := func() Val {
@@ -183,8 +188,6 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 		return v
 	}
 
-	pc := 0
-	var steps int64
 	maxSteps := vm.budget()
 	for {
 		steps++
@@ -198,18 +201,20 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 		if vm.Trace != nil {
 			vm.Trace(m, pc, stack, locals)
 		}
+		// Each instruction is charged before it can fail, except OpBin,
+		// charged once it succeeds, and OpUn, whose charge reads its
+		// operand's kind.
+		if in.Op != bytecode.OpBin && in.Op != bytecode.OpUn {
+			vm.Counts.charge(&in, false)
+		}
 		switch in.Op {
 		case bytecode.OpConst:
-			vm.Counts.LoadStore++
 			push(Scalar(in.Val))
 		case bytecode.OpLoad:
-			vm.Counts.LoadStore++
 			push(locals[in.A])
 		case bytecode.OpStore:
-			vm.Counts.LoadStore++
 			locals[in.A] = pop()
 		case bytecode.OpALoad:
-			vm.countArrayOp(in.Kind)
 			idx := pop().S.AsInt()
 			arr := pop()
 			if !arr.IsArr {
@@ -220,7 +225,6 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 			}
 			push(Scalar(arr.Arr[idx]))
 		case bytecode.OpAStore:
-			vm.countArrayOp(in.Kind)
 			val := pop()
 			idx := pop().S.AsInt()
 			arr := pop()
@@ -232,33 +236,31 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 			}
 			arr.Arr[idx] = val.S.Convert(arr.Arr[idx].K)
 		case bytecode.OpArrayLen:
-			vm.Counts.ALU++
 			arr := pop()
 			push(Scalar(cir.IntVal(cir.Int, int64(len(arr.Arr)))))
 		case bytecode.OpNewArray:
-			vm.Counts.Allocs++
 			n := pop().S.AsInt()
+			if n < 0 {
+				return Val{}, fmt.Errorf("jvmsim: %s@%d: NegativeArraySize: %d", m.Name, pc, n)
+			}
 			arr := make([]cir.Value, n)
 			for i := range arr {
 				arr[i].K = in.Kind
 			}
 			push(Array(arr))
 		case bytecode.OpGetField:
-			vm.Counts.FieldOps++
 			tup := pop()
 			if !tup.IsTup || in.A >= len(tup.Tup) {
 				return Val{}, fmt.Errorf("jvmsim: %s@%d: bad getfield _%d", m.Name, pc, in.A+1)
 			}
 			push(tup.Tup[in.A])
 		case bytecode.OpNewTuple:
-			vm.Counts.Allocs++
 			fields := make([]Val, in.A)
 			for i := in.A - 1; i >= 0; i-- {
 				fields[i] = pop()
 			}
 			push(Tuple(fields...))
 		case bytecode.OpGetStatic:
-			vm.Counts.LoadStore++
 			sf := vm.Class.Static(in.Sym)
 			if sf == nil {
 				return Val{}, fmt.Errorf("jvmsim: %s@%d: unknown static %q", m.Name, pc, in.Sym)
@@ -271,52 +273,40 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 			if err != nil {
 				return Val{}, fmt.Errorf("jvmsim: %s@%d: %w", m.Name, pc, err)
 			}
-			if in.Kind.IsFloat() {
-				vm.Counts.FpALU++
-			} else {
-				vm.Counts.ALU++
-			}
+			vm.Counts.charge(&in, false)
 			push(Scalar(v))
 		case bytecode.OpUn:
 			x := pop().S
+			vm.Counts.charge(&in, x.K.IsFloat())
 			switch in.Un {
 			case cir.Neg:
 				if x.K.IsFloat() {
 					push(Scalar(cir.FloatVal(x.K, -x.F)))
-					vm.Counts.FpALU++
 				} else {
 					push(Scalar(cir.IntVal(x.K, -x.I)))
-					vm.Counts.ALU++
 				}
 			case cir.Not:
 				push(Scalar(cir.BoolVal(!x.IsTrue())))
-				vm.Counts.ALU++
 			case cir.BitNot:
 				push(Scalar(cir.IntVal(x.K, ^x.I)))
-				vm.Counts.ALU++
 			}
 		case bytecode.OpCast:
-			vm.Counts.ALU++
 			push(Scalar(pop().S.Convert(in.Kind)))
 		case bytecode.OpIntrin:
-			vm.Counts.Intrins++
 			v, err := intrin(in, &stack)
 			if err != nil {
 				return Val{}, fmt.Errorf("jvmsim: %s@%d: %w", m.Name, pc, err)
 			}
 			push(Scalar(v))
 		case bytecode.OpGoto:
-			vm.Counts.Branches++
 			pc = in.Target
 			continue
 		case bytecode.OpBrFalse:
-			vm.Counts.Branches++
 			if !pop().S.IsTrue() {
 				pc = in.Target
 				continue
 			}
 		case bytecode.OpBrTrue:
-			vm.Counts.Branches++
 			if pop().S.IsTrue() {
 				pc = in.Target
 				continue
@@ -333,20 +323,10 @@ func (vm *VM) interpret(m *bytecode.Method, args []Val) (Val, error) {
 	}
 }
 
-// countArrayOp buckets an array access by element class: narrow
+// isByteArrayKind buckets an array access by element class: narrow
 // character-like elements model the String/char path of the paper's Scala
 // kernels (charAt, boxing) and cost more than JIT-vectorizable numeric
 // arrays.
-func (vm *VM) countArrayOp(k cir.Kind) {
-	if isByteArrayKind(k) {
-		vm.Counts.ByteArrayOps++
-	} else {
-		vm.Counts.ArrayOps++
-	}
-}
-
-// isByteArrayKind is the bucketing predicate shared by the interpreter
-// and the JIT (which resolves it at compile time per instruction).
 func isByteArrayKind(k cir.Kind) bool {
 	switch k {
 	case cir.Char, cir.Bool, cir.Short:
